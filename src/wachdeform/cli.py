@@ -32,6 +32,7 @@ from .deform import (
     converse_bound,
     default_chi,
     deform_trace,
+    deformation_bound,
     precision_default,
     precision_floor,
 )
@@ -44,7 +45,7 @@ from .errors import (
     VersionMismatch,
     WachdeformError,
 )
-from .padics import PadicElt, PadicParams, ScaledElt
+from .padics import PadicElt, PadicParams, ScaledElt, vp
 from .trianguline import hypothesis_star, psi_eval, weight_step
 from .wach import check_axioms, default_nx, load_wach, save_wach, seed_companion
 
@@ -62,20 +63,6 @@ def _rat(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
 
 
-def _vp_rational(q: Fraction, p: int) -> Fraction | None:
-    """Exact p-valuation of a rational; None for zero."""
-    if q == 0:
-        return None
-    v, n, d = 0, q.numerator, q.denominator
-    while n % p == 0:
-        n //= p
-        v += 1
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return Fraction(v)
-
-
 def _elt_from_rational(params: PadicParams, q: Fraction) -> PadicElt:
     return ScaledElt.from_rational(params, q).to_padic()
 
@@ -83,12 +70,12 @@ def _elt_from_rational(params: PadicParams, q: Fraction) -> PadicElt:
 def _resolve_precisions(args, k: int, m: Fraction, alpha_k1: int) -> tuple[int, int]:
     """prec_pi and nx: budget-formula defaults, overrides refused below floor."""
     p, e = args.p, args.e
-    nx = args.prec_x if args.prec_x else max(2 * k, 32, (p - 1) * (k - 1) + 2)
+    nx = args.prec_x or default_nx(p, k)
     floor = precision_floor(e, k, m, alpha_k1)
     if args.prec_pi:
         if args.prec_pi < floor:
             raise PrecisionExhausted(
-                f"--prec-pi {args.prec_pi} is below the certified floor {floor}"
+                f"--prec-pi {args.prec_pi} is below the certified floor {floor} for k={k}"
             )
         return args.prec_pi, nx
     return precision_default(p, e, k, m, alpha_k1, nx), nx
@@ -137,15 +124,13 @@ def cmd_deform(args) -> int:
     ak1 = table.value(k - 1)
 
     # bound check on exact rationals BEFORE any seeding work
-    v_ap = _vp_rational(args.ap, p)
     eps = args.ap_new - args.ap
-    v_eps = _vp_rational(eps, p)
-    if v_ap is None:
-        if v_eps is not None:
+    if eps:
+        if args.ap == 0:
             raise BoundViolated("a_p = 0 admits only the identity deformation")
-    else:
-        bound = 2 * v_ap + ak1 + m
-        if v_eps is not None and v_eps < bound:
+        bound = deformation_bound(vp(args.ap, p), ak1, m)
+        v_eps = vp(eps, p)
+        if v_eps < bound:
             raise BoundViolated(
                 f"v(a_p - a'_p) = {v_eps} < 2 v(a_p) + alpha(k-1) + m = {bound}"
             )
@@ -186,10 +171,11 @@ def cmd_star(args) -> int:
 def cmd_weightstep(args) -> int:
     w = load_wach(args.infile)
     wp, cert = weight_step(w, args.m)
-    print(f"weight step: a_p {cert.a_p_lift} -> {cert.ap_new_lift}, "
+    obj = cert.as_obj()
+    print(f"weight step: a_p {obj['a_p']} -> {obj['ap_new']}, "
           f"bound {cert.bound_observed} >= {cert.bound_required}")
     if args.out:
-        _write_json(args.out, {"kind": "weightstep-report", "certificate": cert.as_obj()})
+        _write_json(args.out, {"kind": "weightstep-report", "certificate": obj})
         print(f"wrote {args.out}")
     return 0 if cert.ok else 1
 
@@ -204,16 +190,15 @@ def _scan_point(payload: tuple) -> tuple[int, list[str]]:
     table = alpha(p, max(k - 1, 1), chi)
     ak1 = table.value(k - 1)
 
-    v_ap = _vp_rational(ap, p)
-    if v_ap is None:
+    if ap == 0:
         ap_new = ap                          # only the identity deformation exists
         bound_ok = True
     else:
-        bound = 2 * v_ap + ak1 + m
+        bound = deformation_bound(vp(ap, p), ak1, m)
         t = math.ceil(bound)
         u = random.Random(f"{seed}:{k}:{ap}").randrange(1, p)
         ap_new = ap + u * Fraction(p) ** t
-        bound_ok = _vp_rational(ap_new - ap, p) >= bound
+        bound_ok = vp(ap_new - ap, p) >= bound
 
     try:
         threshold = str(converse_bound(k, m, table))
@@ -252,15 +237,8 @@ def cmd_scan(args) -> int:
     grid = [(k, ap) for k in range(k_lo, k_hi + 1) for ap in ap_list]
     payloads = []
     for index, (k, ap) in enumerate(grid):
-        table = alpha(p, max(k - 1, 1), chi)
-        ak1 = table.value(k - 1)
-        nx = args.prec_x if args.prec_x else max(2 * k, 32, (p - 1) * (k - 1) + 2)
-        prec_pi = args.prec_pi if args.prec_pi else precision_default(p, e, k, m, ak1, nx)
-        floor = precision_floor(e, k, m, ak1)
-        if prec_pi < floor:
-            raise PrecisionExhausted(
-                f"--prec-pi {prec_pi} below floor {floor} for k={k}"
-            )
+        ak1 = alpha(p, k - 1, chi).value(k - 1)
+        prec_pi, nx = _resolve_precisions(args, k, m, ak1)
         payloads.append((index, p, e, k, str(ap), str(m), chi, prec_pi, nx, args.seed))
 
     outdir = Path(args.out)

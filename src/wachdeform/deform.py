@@ -36,7 +36,7 @@ from .errors import (
     SlopesNotDistinct,
     ValuationFloorUnreachable,
 )
-from .padics import PadicElt, hensel_root, val_or_cap
+from .padics import PadicElt, hensel_root, val_or_cap, vp
 from .series import Mat2, MatrixSeries, cyclotomic_q, mat_frobenius, mat_gamma
 from .wach import WachData, check_axioms
 
@@ -49,6 +49,7 @@ __all__ = [
     "correct_gamma",
     "default_chi",
     "deform_trace",
+    "deformation_bound",
     "diagonalize",
     "extend_h",
     "is_generator",
@@ -85,16 +86,6 @@ def default_chi(p: int) -> int:
         if c > p * p:  # unreachable for prime p, defensive only
             raise NotAGenerator(f"no generator below {p * p} for p = {p}")
     return c
-
-
-def _vp_int(n: int, p: int) -> int:
-    if n == 0:
-        raise ZeroDivisionError("valuation of zero")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 @dataclass(frozen=True)
@@ -140,7 +131,7 @@ def alpha(p: int, r: int, chi_gamma: int) -> AlphaTable:
     chi_pow = 1
     for j in range(1, r + 1):
         chi_pow *= chi_gamma
-        step = _vp_int(chi_pow - 1, p)
+        step = vp(chi_pow - 1, p)
         total += step
         steps.append(step)
         values.append(total)
@@ -155,8 +146,16 @@ def alpha(p: int, r: int, chi_gamma: int) -> AlphaTable:
 
 
 # --------------------------------------------------------------------------- #
-# precision budget
+# congruence bound and precision budget
 # --------------------------------------------------------------------------- #
+
+def deformation_bound(v_ap: Fraction | int, alpha_k1: int, m: Fraction) -> Fraction:
+    """Required v(a_p - a'_p): 2 v(a_p) + alpha(k-1) + m.
+
+    At a_p = 0 only the identity deformation exists; its bound takes v_ap = 0.
+    """
+    return 2 * Fraction(v_ap) + alpha_k1 + m
+
 
 def precision_floor(e: int, k: int, m: Fraction, alpha_k1: int) -> int:
     """Minimum admissible cap: e * (m + 2 alpha(k-1) + k + 8)."""
@@ -479,8 +478,8 @@ class DeformCertificate:
     chi_gamma: int
     prec_pi: int
     prec_x: int
-    a_p_lift: int
-    ap_new_lift: int
+    a_p_digits: tuple[int, ...]
+    ap_new_digits: tuple[int, ...]
     m: Fraction
     bound_required: Fraction
     bound_observed: Fraction
@@ -512,8 +511,8 @@ class DeformCertificate:
             "chi_gamma": self.chi_gamma,
             "prec_pi": self.prec_pi,
             "prec_x": self.prec_x,
-            "a_p": str(self.a_p_lift),
-            "ap_new": str(self.ap_new_lift),
+            "a_p": ",".join(map(str, self.a_p_digits)),
+            "ap_new": ",".join(map(str, self.ap_new_digits)),
             "m": str(self.m),
             "bound_required": str(self.bound_required),
             "bound_observed": str(self.bound_observed),
@@ -559,14 +558,11 @@ def deform_trace(
 
     eps = ap_new - w.a_p
     v_ap = w.a_p.valpi()
-    if v_ap is None:
-        if not eps.is_zero_at_cap():
-            raise BoundViolated(
-                "a_p vanishes to cap: no finite bound 2v(a_p)+alpha+m exists"
-            )
-        bound = Fraction(alpha_k1) + m  # degenerate: only identity deformation
-    else:
-        bound = 2 * Fraction(v_ap, params.e) + alpha_k1 + m
+    if v_ap is None and not eps.is_zero_at_cap():
+        raise BoundViolated(
+            "a_p vanishes to cap: no finite bound 2v(a_p)+alpha+m exists"
+        )
+    bound = deformation_bound(Fraction(v_ap or 0, params.e), alpha_k1, m)
     v_eps = val_or_cap(eps)
     if v_eps < bound:
         if eps.is_zero_at_cap():
@@ -605,8 +601,8 @@ def deform_trace(
         chi_gamma=chi,
         prec_pi=params.prec_pi,
         prec_x=w.P.nx,
-        a_p_lift=w.a_p.lift_int(),
-        ap_new_lift=ap_new.lift_int(),
+        a_p_digits=w.a_p.digits,
+        ap_new_digits=ap_new.digits,
         m=m,
         bound_required=bound,
         bound_observed=v_eps,

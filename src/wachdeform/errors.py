@@ -49,10 +49,6 @@ class InexactDivision(WachdeformError):
 
 # --- series -----------------------------------------------------------------
 
-class NonUnitExponent(WachdeformError):
-    """Substitution exponent is not a p-adic unit where one is required."""
-
-
 class NonInvertibleDeterminant(WachdeformError):
     """Matrix over the series ring has non-unit determinant where an inverse
     is required."""

@@ -46,6 +46,7 @@ __all__ = [
     "QpMultChar",
     "val",
     "val_or_cap",
+    "vp",
     "teichmuller_decompose",
     "plog",
     "pexp",
@@ -90,13 +91,15 @@ def _ppow(p: int, t: int) -> int:
     return p ** t
 
 
-def _vp(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
-    if n == 0:
+def vp(q: int | Fraction, p: int) -> int:
+    """p-adic valuation of a nonzero integer or rational."""
+    if q == 0:
         raise ZeroInput("vp(0) undefined")
+    if type(q) is Fraction:   # an exact type test: isinstance goes through ABC dispatch
+        return vp(q.numerator, p) - vp(q.denominator, p)
     v = 0
-    while n % p == 0:
-        n //= p
+    while q % p == 0:
+        q //= p
         v += 1
     return v
 
@@ -124,9 +127,6 @@ class PadicParams:
             raise DomainError(f"ramification index must be >= 1, got {self.e}")
         if self.prec_pi < 1:
             raise PrecisionExhausted("prec_pi must be >= 1")
-
-    def with_prec(self, prec_pi: int) -> "PadicParams":
-        return PadicParams(self.p, self.e, prec_pi)
 
     def digit_modulus(self, cap: int, j: int) -> int:
         """Modulus for digit j of an element known mod pi^cap."""
@@ -190,7 +190,7 @@ class PadicElt:
         best: int | None = None
         for j, d in enumerate(self.digits):
             if d:
-                w = j + self.params.e * _vp(d, self.params.p)
+                w = j + self.params.e * vp(d, self.params.p)
                 if best is None or w < best:
                     best = w
         return best
@@ -423,7 +423,7 @@ class ScaledElt:
         if q == 0:
             return cls(PadicElt.zero(params), 0)
         p, e = params.p, params.e
-        vn, vd = _vp(q.numerator, p), _vp(q.denominator, p)
+        vn, vd = vp(q.numerator, p), vp(q.denominator, p)
         num = PadicElt.from_int(params, q.numerator // _ppow(p, vn))
         den = PadicElt.from_int(params, q.denominator // _ppow(p, vd))
         return cls(num.div_unit(den), e * (vn - vd))
@@ -463,17 +463,9 @@ class ScaledElt:
         if n == 0:
             raise ZeroInput("division by zero")
         p, e = self.params.p, self.params.e
-        v = _vp(n, p)
+        v = vp(n, p)
         u = PadicElt.from_int(self.params, n // _ppow(p, v))
         return ScaledElt(self.mantissa.div_unit(u), self.exp - e * v)
-
-    def mul_int(self, n: int) -> "ScaledElt":
-        if n == 0:
-            return ScaledElt(PadicElt.zero(self.params), 0)
-        p, e = self.params.p, self.params.e
-        v = _vp(n, p)
-        u = PadicElt.from_int(self.params, n // _ppow(p, v))
-        return ScaledElt(self.mantissa * u, self.exp + e * v)
 
     def power(self, n: int) -> "ScaledElt":
         if n < 0:
@@ -481,9 +473,6 @@ class ScaledElt:
                 raise ZeroInput("cannot invert zero")
             return ScaledElt(self.mantissa.invert() ** (-n), self.exp * n)
         return ScaledElt(self.mantissa ** n if n else PadicElt.one(self.params), self.exp * n)
-
-    def neg(self) -> "ScaledElt":
-        return ScaledElt(-self.mantissa, self.exp)
 
     def to_padic(self) -> PadicElt:
         """Collapse to an integral element; fails if the value is not in O_E."""
@@ -564,7 +553,7 @@ def plog(x: PadicElt) -> PadicElt:
         if n >= e and n * t - e * (_ilog(n, p) + 1) >= target:
             break
         un = un * u
-        vn = _vp(n, p)
+        vn = vp(n, p)
         if n * t - e * vn < 1:
             raise OutOfConvergenceDomain(
                 f"log term {n} has valuation {Fraction(n * t - e * vn, e)}; "
@@ -600,7 +589,7 @@ def pexp(y: PadicElt) -> PadicElt:
         if n * (t * (p - 1) - e) + e >= target * (p - 1):
             break
         un = un * u
-        vn = _vp(n, p)
+        vn = vp(n, p)
         vpf += vn
         fact_unit = fact_unit * (n // _ppow(p, vn)) % fact_mod
         mant = un.div_unit(PadicElt.from_int(params, fact_unit))

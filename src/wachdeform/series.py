@@ -175,15 +175,6 @@ class PadicSeries:
         zero = PadicElt.zero(self.params)
         return PadicSeries(self.params, [zero] * j + list(self.coeffs[: self.nx - j]), self.nx)
 
-    def drop_low(self, j: int) -> "PadicSeries":
-        """Divide by x^j, discarding the low coefficients (caller checks them)."""
-        if self.nx - j < 1:
-            raise PrecisionExhausted("x-precision exhausted by shift")
-        return PadicSeries(self.params, self.coeffs[j:], self.nx - j)
-
-    def reduce_caps(self, cap: int) -> "PadicSeries":
-        return PadicSeries(self.params, [c.reduce_cap(cap) for c in self.coeffs], self.nx)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, PadicSeries)
@@ -398,9 +389,6 @@ class MatrixSeries:
 
     def shift_up(self, j: int) -> "MatrixSeries":
         return MatrixSeries(*(s.shift_up(j) for s in self.entries()))
-
-    def drop_low(self, j: int) -> "MatrixSeries":
-        return MatrixSeries(*(s.drop_low(j) for s in self.entries()))
 
     def same_at_cap(self, other: "MatrixSeries") -> bool:
         return (self - other).is_zero_at_cap()

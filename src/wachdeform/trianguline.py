@@ -35,7 +35,6 @@ from .errors import (
 from .padics import (
     PadicElt,
     PadicParams,
-    QpMultChar,
     ScaledElt,
     binom_coeffs,
     pexp,
@@ -231,15 +230,6 @@ class TriCharacter:
             raise DomainError(f"weight must be at least 2, got {self.k}")
         if self.a_p.is_zero_at_cap():
             raise ZeroInput("mu_{1/a_p} undefined for a_p = 0")
-
-    @property
-    def mu(self) -> QpMultChar:
-        inv = ScaledElt(PadicElt.one(self.a_p.params)).div(ScaledElt(self.a_p))
-        return QpMultChar(kind="mu", z=inv)
-
-    @property
-    def omega_power(self) -> QpMultChar:
-        return QpMultChar(kind="omega_power", exponent=1 - self.k)
 
 
 def char_eval(chr_: TriCharacter, x: PadicElt, vp_shift: int = 0) -> ScaledElt:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 
@@ -86,6 +87,11 @@ class WachData:
     def nx(self) -> int:
         return self.P.nx
 
+    @cached_property
+    def _axiom_report(self) -> "AxiomReport":
+        # every field is immutable, so one verification holds for the object's life
+        return _run_axiom_checks(self)
+
 
 @dataclass(frozen=True)
 class AxiomReport:
@@ -118,7 +124,15 @@ class AxiomReport:
 # --------------------------------------------------------------------------- #
 
 def check_axioms(w: WachData) -> AxiomReport:
-    """Brute-force re-verification of all module axioms at current precision."""
+    """Brute-force verification of all module axioms at current precision.
+
+    The report is computed once per object and cached on it; an equal module
+    built or loaded separately is a new object and is checked from scratch.
+    """
+    return w._axiom_report
+
+
+def _run_axiom_checks(w: WachData) -> AxiomReport:
     params, k = w.params, w.k
     e = params.e
 
@@ -172,9 +186,9 @@ def _det_is_unit_times_qpow(w: WachData) -> bool:
 # companion seed
 # --------------------------------------------------------------------------- #
 
-def default_nx(params: PadicParams, k: int) -> int:
+def default_nx(p: int, k: int) -> int:
     """x-precision default: enough for 2k orders and for det/Q^(k-1) division."""
-    return max(2 * k, 32, (params.p - 1) * (k - 1) + 2)
+    return max(2 * k, 32, (p - 1) * (k - 1) + 2)
 
 
 def _companion_p(params: PadicParams, k: int, a_p: PadicElt, nx: int) -> MatrixSeries:
@@ -276,16 +290,17 @@ def seed_companion(
     SeedSingular with the failing order and no fallback is attempted.
     The result is re-verified with check_axioms before being returned.
     """
-    nx = default_nx(params, k) if nx is None else nx
+    nx = default_nx(params.p, k) if nx is None else nx
     P = _companion_p(params, k, a_p, nx)
     p0 = P.eval0()
     q_series = cyclotomic_q(params, nx)
     gamma_p = mat_gamma(P, chi_gamma)
 
-    # P * Q^n, coefficients reused across all orders
+    # P * Q^n, coefficients reused across all orders; only x-orders below
+    # nx - n of pq[n] are ever read
     pq: list[MatrixSeries] = [P]
-    for _ in range(1, nx):
-        pq.append(pq[-1].scale_series(q_series))
+    for n in range(1, nx):
+        pq.append(pq[-1].reduce_nx(nx - n).scale_series(q_series))
 
     mats: list[Mat2] = [Mat2.identity(params)]
     for j in range(1, nx):

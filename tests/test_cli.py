@@ -3,10 +3,15 @@ import csv
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from wachdeform.cli import main
+from wachdeform.deform import alpha, deform_trace, deformation_bound
+from wachdeform.errors import BoundViolated
+from wachdeform.padics import PadicElt, PadicParams, vp
+from wachdeform.wach import seed_ap_zero, seed_companion
 
 
 def run(*argv, capsys=None):
@@ -144,6 +149,58 @@ def test_deform_deeper_level_needs_deeper_congruence(tmp_path):
     # level m = 2 needs v(eps) >= 4; eps = 27 only has valuation 3
     assert main(["deform", "--p", "3", "--k", "2", "--ap", "3",
                  "--ap-new", "30", "--m", "2"]) == 2
+
+
+def _deform_argv(ap, ap_new, *extra):
+    return ["deform", "--p", "3", "--k", "2", "--ap", str(ap),
+            "--ap-new", str(ap_new), "--m", "1", *extra]
+
+
+# the CLI refuses on exact rationals before it resolves precisions or seeds:
+# with an under-floor --prec-pi, a request that got past it would exit 3
+UNDER_FLOOR = ("--prec-pi", "5")
+
+
+@pytest.mark.parametrize("ap", [3, 9])          # v(a_p) = 1 and 2
+def test_deform_refusal_agrees_with_library(ap):
+    # the CLI refuses on exact rationals, deform_trace on capped elements;
+    # both must draw the line at the same valuation
+    bound = deformation_bound(vp(ap, 3), alpha(3, 1, 2).value(1), Fraction(1))
+    at, below = ap + 3 ** int(bound), ap + 3 ** (int(bound) - 1)
+    assert main(_deform_argv(ap, at)) == 0
+    assert main(_deform_argv(ap, below, *UNDER_FLOOR)) == 2
+
+    params = PadicParams(3, 1, 24)
+    w = seed_companion(params, 2, PadicElt.from_int(params, ap), 2, 16)
+    _, cert = deform_trace(w, PadicElt.from_int(params, at), 1)
+    assert cert.ok and cert.bound_required == bound
+    with pytest.raises(BoundViolated):
+        deform_trace(w, PadicElt.from_int(params, below), 1)
+
+
+def test_deform_ap_zero_admits_only_identity():
+    assert main(_deform_argv(0, 0)) == 0
+    assert main(_deform_argv(0, 9, *UNDER_FLOOR)) == 2
+
+    params = PadicParams(3, 1, 24)
+    w = seed_ap_zero(params, 2, 2, 16)
+    _, cert = deform_trace(w, w.a_p, 1)
+    assert cert.ok and cert.bound_required == deformation_bound(0, 0, Fraction(1))
+    with pytest.raises(BoundViolated):
+        deform_trace(w, PadicElt.from_int(params, 9), 1)
+
+
+def test_deform_ramified_end_to_end(tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    code, out = run("deform", "--p", "3", "--e", "2", "--k", "2", "--ap", "3",
+                    "--ap-new", "246", "--m", "1/2", "--out", str(cert_path),
+                    capsys=capsys)
+    assert code == 0
+    assert "P'=pass G'=pass charpoly=pass axioms=pass" in out
+    cert = json.loads(cert_path.read_text())["certificate"]
+    assert cert["pass"] is True
+    assert cert["bound_required"] == "5/2"
+    assert (cert["a_p"], cert["ap_new"]) == ("3,0", "246,0")
 
 
 def test_verify_tampered_module_fails_axioms(tmp_path, capsys):

@@ -29,6 +29,7 @@ from wachdeform.padics import (
     plog,
     teichmuller_decompose,
     val,
+    vp,
 )
 
 P3 = PadicParams(3, 1, 20)
@@ -85,6 +86,18 @@ def test_val_examples():
     assert val(pi) == Fraction(1, 2)
     assert val(pi * pi) == 1
     assert (pi * pi).same_at_cap(fi(E2, 3))
+
+
+def test_vp_integers_and_rationals():
+    assert vp(1, 3) == 0
+    assert vp(54, 3) == 3
+    assert vp(-54, 3) == 3
+    assert vp(Fraction(18, 5), 3) == 2
+    assert vp(Fraction(-5, 27), 3) == -3
+    assert vp(Fraction(25, 3), 5) == 2
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroInput):
+            vp(zero, 3)
 
 
 def test_param_mismatch_raises():

@@ -222,6 +222,17 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_axiom_report_cached_per_object(tmp_path):
+    w = seed_k2()
+    report = check_axioms(w)
+    assert check_axioms(w) is report
+    path = tmp_path / "w.json"
+    save_wach(w, path)
+    fresh = check_axioms(load_wach(path))
+    assert fresh is not report
+    assert fresh == report
+
+
 def test_load_truncated_file(tmp_path):
     w = seed_k2()
     path = tmp_path / "w.json"
@@ -298,5 +309,5 @@ def test_wachdata_rejects_mismatched_precision():
 
 
 def test_default_nx_floor():
-    assert default_nx(P3, 2) == 32
-    assert default_nx(P3, 20) >= (3 - 1) * 19 + 2
+    assert default_nx(3, 2) == 32
+    assert default_nx(3, 20) >= (3 - 1) * 19 + 2
