@@ -159,7 +159,7 @@ def cmd_alpha(args) -> int:
 def cmd_psi(args) -> int:
     params = PadicParams(args.p, args.e, args.prec_pi or 24)
     value = psi_eval(_elt_from_rational(params, args.alpha), args.s)
-    print(f"{value.lift_int()} (mod {args.p}^{value.cap // args.e})")
+    print(f"{','.join(map(str, value.digits))} (mod {args.p}^{value.cap // args.e})")
     return 0
 
 

@@ -411,7 +411,7 @@ def correct_gamma(
     gamma_pp = mat_gamma(pp, chi_gamma)
     q = cyclotomic_q(params, nx)
 
-    defect = pp * mat_frobenius(g) - g * mat_gamma(pp, chi_gamma)
+    defect = pp * mat_frobenius(g) - g * gamma_pp
     for j in range(min(k, nx)):
         if not defect.coeff(j).is_zero_at_cap():
             raise DefectNotDivisible(
@@ -452,9 +452,10 @@ def correct_gamma(
             )
         log.append((j, Fraction(s.min_val_or_cap(), params.e)))
         gp = gp + MatrixSeries.from_mats(params, [s], nx).shift_up(j)
-        # defect update for G -> G + x^j S:  D += x^j Q^j (P' S) - x^j (S gamma(P'))
-        bump = pp.right_mul_mat(s).scale_series(qpow).shift_up(j)
-        drop = gamma_pp.left_mul_mat(s).shift_up(j)
+        # defect update for G -> G + x^j S:  D += x^j Q^j (P' S) - x^j (S gamma(P'));
+        # after the shift by x^j only x-orders below nx - j of the factors count
+        bump = pp.reduce_nx(nx - j).right_mul_mat(s).scale_series(qpow).shift_up(j)
+        drop = gamma_pp.reduce_nx(nx - j).left_mul_mat(s).shift_up(j)
         defect = defect + bump - drop
         if not defect.coeff(j).is_zero_at_cap():
             raise PrecisionExhausted(f"order {j}: correction failed to close")

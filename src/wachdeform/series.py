@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, mod, mul, neg, sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -37,28 +38,131 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------- #
+# integer kernel
+# --------------------------------------------------------------------------- #
+#
+# A coefficient of a series is a sum of products of capped elements.  Its cap
+# is the min of the product caps, min(cap_x + v(y), cap_y + v(x), prec_pi) each
+# (v = valpi-or-cap), and its digits are the exact integer sum reduced by
+# PadicParams.digit_modulus at that cap.  Reducing partial sums at their own
+# (larger) caps first changes nothing, so the kernel sums unreduced integers
+# and reduces once: the digits and caps are those of the element-wise loops.
+
+@lru_cache(maxsize=None)
+def _ring_tables(params: PadicParams) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
+    """(moduli, log): moduli[s][c] is the modulus of digit s at cap c, log[p^t] = t."""
+    moduli = tuple(
+        tuple(params.digit_modulus(c, s) for c in range(params.prec_pi + 1))
+        for s in range(params.e)
+    )
+    log = {params.p ** t: t for t in range(-(-params.prec_pi // params.e) + 1)}
+    return moduli, log
+
+
+def _reduce(params: PadicParams, raw, caps) -> tuple[tuple[int, ...], ...]:
+    """Canonical digit planes of raw integer planes at the given caps."""
+    # tuples are built from lists, not iterators: a tuple grown from an
+    # iterator is resized outside CPython's per-size free lists but returns to
+    # them when freed, so short truncated series would fill those lists
+    moduli = _ring_tables(params)[0]
+    return tuple([
+        tuple(list(map(mod, plane, map(moduli[s].__getitem__, caps))))
+        for s, plane in enumerate(raw)
+    ])
+
+
+def _valpi_or_caps(params: PadicParams, planes, caps) -> tuple[int, ...]:
+    """valpi-or-cap of each coefficient; gcd(d, modulus) = p^vp(d), or the modulus at d = 0."""
+    moduli, log = _ring_tables(params)
+    e = params.e
+    per_digit = [
+        [s + e * log[g] for g in map(math.gcd, plane, map(moduli[s].__getitem__, caps))]
+        for s, plane in enumerate(planes)
+    ]
+    return tuple(list(map(min, caps, *per_digit)))
+
+
+def _ring_product(params: PadicParams, xs, ys, op) -> list[list[int]]:
+    """Raw digit planes of a product over O_E = Z[pi]/(pi^e - p).
+
+    ``op`` is bilinear and maps a digit plane of each factor to an integer
+    plane; pi^e = p folds the high digits back.
+    """
+    e, p = params.e, params.p
+    out: list = [None] * e
+    for s, x in enumerate(xs):
+        for t, y in enumerate(ys):
+            z = op(x, y)
+            r = s + t
+            if r >= e:
+                r -= e
+                z = [p * v for v in z]
+            out[r] = z if out[r] is None else list(map(add, out[r], z))
+    return out
+
+
+def _conv(x, y, n: int) -> list[int]:
+    """k-th entry sum_{i+j=k} x_i y_j, for k < n."""
+    ry = y[n - 1::-1]
+    return [sum(map(mul, x, ry[n - 1 - k:])) for k in range(n)]
+
+
+def _min_conv(x, y, n: int) -> list[int]:
+    """k-th entry min_{i+j=k} x_i + y_j, for k < n."""
+    ry = y[n - 1::-1]
+    return [min(map(add, x, ry[n - 1 - k:])) for k in range(n)]
+
+
+def _scalar(x, d: int) -> list[int]:
+    return [d * v for v in x]
+
+
+# --------------------------------------------------------------------------- #
 # scalar series
 # --------------------------------------------------------------------------- #
 
 class PadicSeries:
-    """Element of O_E[[x]] known modulo x^nx."""
+    """Element of O_E[[x]] known modulo x^nx.
 
-    __slots__ = ("params", "nx", "coeffs")
+    Stored as integers: ``planes[s][j]`` is digit s (the pi^s part) of the
+    x^j coefficient, in the canonical form PadicElt holds, and ``caps[j]`` is
+    that coefficient's pi-adic cap.  ``coeff``, ``eval0`` and ``coeffs`` build
+    PadicElt values on demand.
+    """
+
+    __slots__ = ("params", "nx", "planes", "caps", "_vals")
 
     def __init__(self, params: PadicParams, coeffs: Iterable[PadicElt], nx: int):
         if nx < 1:
             raise PrecisionExhausted("series needs at least one x-digit")
-        cs = list(coeffs)
-        if len(cs) > nx:
-            cs = cs[:nx]
-        while len(cs) < nx:
-            cs.append(PadicElt.zero(params))
-        for c in cs:
-            if c.params != params:
-                raise ParamMismatch("coefficient over a different ring")
+        cs = list(coeffs)[:nx]
+        if any(c.params != params for c in cs):
+            raise ParamMismatch("coefficient over a different ring")
+        pad = nx - len(cs)   # exact zeros
+        self._set(
+            params,
+            tuple([tuple([c.digits[s] for c in cs] + [0] * pad) for s in range(params.e)]),
+            tuple([c.cap for c in cs] + [params.prec_pi] * pad),
+        )
+
+    def _set(self, params: PadicParams, planes, caps) -> None:
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "nx", nx)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "nx", len(caps))
+        object.__setattr__(self, "planes", planes)
+        object.__setattr__(self, "caps", caps)
+        object.__setattr__(self, "_vals", None)
+
+    @classmethod
+    def _make(cls, params: PadicParams, planes, caps) -> "PadicSeries":
+        """Series from canonical digit planes and caps (no checks)."""
+        s = object.__new__(cls)
+        s._set(params, planes, caps)
+        return s
+
+    @classmethod
+    def _reduced(cls, params: PadicParams, raw, caps) -> "PadicSeries":
+        caps = tuple(caps)
+        return cls._make(params, _reduce(params, raw, caps), caps)
 
     def __setattr__(self, *_):
         raise AttributeError("PadicSeries is immutable")
@@ -67,37 +171,53 @@ class PadicSeries:
 
     @classmethod
     def zero(cls, params: PadicParams, nx: int) -> "PadicSeries":
-        return cls(params, [], nx)
+        return cls.from_ints(params, [], nx)
 
     @classmethod
     def one(cls, params: PadicParams, nx: int) -> "PadicSeries":
-        return cls(params, [PadicElt.one(params)], nx)
+        return cls.from_ints(params, [1], nx)
 
     @classmethod
     def from_ints(cls, params: PadicParams, ints: Sequence[int], nx: int) -> "PadicSeries":
-        return cls(params, [PadicElt.from_int(params, n) for n in ints], nx)
+        if nx < 1:
+            raise PrecisionExhausted("series needs at least one x-digit")
+        ints = list(ints)[:nx]
+        ints += [0] * (nx - len(ints))
+        zeros = [0] * nx
+        raw = [ints] + [zeros] * (params.e - 1)
+        return cls._reduced(params, raw, [params.prec_pi] * nx)
 
     @classmethod
     def x(cls, params: PadicParams, nx: int) -> "PadicSeries":
-        return cls(params, [PadicElt.zero(params), PadicElt.one(params)], nx)
+        return cls.from_ints(params, [0, 1], nx)
 
     # -- queries ----------------------------------------------------------------
 
     def coeff(self, j: int) -> PadicElt:
-        return self.coeffs[j]
+        return PadicElt(self.params, [plane[j] for plane in self.planes], self.caps[j])
 
     def eval0(self) -> PadicElt:
-        return self.coeffs[0]
+        return self.coeff(0)
+
+    @property
+    def coeffs(self) -> tuple[PadicElt, ...]:
+        return tuple(map(self.coeff, range(self.nx)))
+
+    def _valuations(self) -> tuple[int, ...]:
+        """valpi-or-cap of every coefficient, computed once per series."""
+        if self._vals is None:
+            object.__setattr__(self, "_vals", _valpi_or_caps(self.params, self.planes, self.caps))
+        return self._vals
 
     def is_zero_at_cap(self) -> bool:
-        return all(c.is_zero_at_cap() for c in self.coeffs)
+        return not any(map(any, self.planes))
 
     def min_val_or_cap(self) -> int:
         """min over coefficients of valpi-or-cap (integer pi-valuation units)."""
-        return min(c.valpi_or_cap() for c in self.coeffs)
+        return min(self._valuations())
 
     def min_cap(self) -> int:
-        return min(c.cap for c in self.coeffs)
+        return min(self.caps)
 
     def same_at_cap(self, other: "PadicSeries") -> bool:
         return (self - other).is_zero_at_cap()
@@ -110,30 +230,44 @@ class PadicSeries:
         return min(self.nx, other.nx)
 
     def __add__(self, other: "PadicSeries") -> "PadicSeries":
-        n = self._align(other)
-        return PadicSeries(self.params, [a + b for a, b in zip(self.coeffs, other.coeffs)], n)
+        self._align(other)
+        raw = [list(map(add, a, b)) for a, b in zip(self.planes, other.planes)]
+        return PadicSeries._reduced(self.params, raw, list(map(min, self.caps, other.caps)))
 
     def __sub__(self, other: "PadicSeries") -> "PadicSeries":
-        n = self._align(other)
-        return PadicSeries(self.params, [a - b for a, b in zip(self.coeffs, other.coeffs)], n)
+        self._align(other)
+        raw = [list(map(sub, a, b)) for a, b in zip(self.planes, other.planes)]
+        return PadicSeries._reduced(self.params, raw, list(map(min, self.caps, other.caps)))
 
     def __neg__(self) -> "PadicSeries":
-        return PadicSeries(self.params, [-a for a in self.coeffs], self.nx)
+        raw = [list(map(neg, a)) for a in self.planes]
+        return PadicSeries._reduced(self.params, raw, self.caps)
 
     def __mul__(self, other: "PadicSeries") -> "PadicSeries":
         n = self._align(other)
-        zero = PadicElt.zero(self.params)
-        out: list[PadicElt] = [zero] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if a.is_zero_at_cap() and a.cap >= self.params.prec_pi:
-                continue
-            for j, b in enumerate(other.coeffs[: n - i]):
-                t = a * b
-                out[i + j] = t if out[i + j] is zero else out[i + j] + t
-        return PadicSeries(self.params, out, n)
+        prec = self.params.prec_pi
+        raw = _ring_product(
+            self.params, self.planes, other.planes, lambda x, y: _conv(x, y, n)
+        )
+        ca, cb = self.caps[:n], other.caps[:n]
+        va, vb = self._valuations()[:n], other._valuations()[:n]
+        caps = [prec] * n
+        # each bound below is met by no pair when its minimum reaches prec_pi
+        if min(ca) + min(vb) < prec:
+            caps = list(map(min, caps, _min_conv(ca, vb, n)))
+        if min(cb) + min(va) < prec:
+            caps = list(map(min, caps, _min_conv(va, cb, n)))
+        return PadicSeries._reduced(self.params, raw, caps)
 
     def scale(self, c: PadicElt) -> "PadicSeries":
-        return PadicSeries(self.params, [c * a for a in self.coeffs], self.nx)
+        if c.params != self.params:
+            raise ParamMismatch(f"{c.params} vs {self.params}")
+        prec, cc, vc = self.params.prec_pi, c.cap, c.valpi_or_cap()
+        raw = _ring_product(self.params, self.planes, c.digits, _scalar)
+        caps = [
+            min(cc + v, ca + vc, prec) for ca, v in zip(self.caps, self._valuations())
+        ]
+        return PadicSeries._reduced(self.params, raw, caps)
 
     def scale_int(self, n: int) -> "PadicSeries":
         return self.scale(PadicElt.from_int(self.params, n))
@@ -152,42 +286,73 @@ class PadicSeries:
         return r
 
     def invert(self) -> "PadicSeries":
-        """Inverse of a series with unit constant term."""
-        inv0 = self.coeffs[0].invert()   # raises DivisionByNonUnit if not a unit
-        out = [inv0]
+        """Inverse of a series with unit constant term.
+
+        out_n = -(sum_{i=1..n} f_i out_{n-i}) * out_0, each coefficient capped
+        and reduced before the next one reads it.
+        """
+        params, prec = self.params, self.params.prec_pi
+        inv0 = self.eval0().invert()   # raises DivisionByNonUnit if not a unit
+        v_inv0 = inv0.valpi_or_cap()
+        fv = self._valuations()
+        planes = [[d] for d in inv0.digits]
+        caps, vals = [inv0.cap], [v_inv0]
         for n in range(1, self.nx):
-            s = None
-            for i in range(1, n + 1):
-                t = self.coeffs[i] * out[n - i]
-                s = t if s is None else s + t
-            out.append(-(s * inv0) if s is not None else PadicElt.zero(self.params))
-        return PadicSeries(self.params, out, self.nx)
+            # s = sum_{i=1..n} f_i out_{n-i}
+            raw = _ring_product(
+                params,
+                [f[1:n + 1] for f in self.planes],
+                [o[::-1] for o in planes],
+                lambda x, y: [sum(map(mul, x, y))],
+            )
+            cs = min(
+                prec,
+                min(map(add, self.caps[1:n + 1], reversed(vals))),
+                min(map(add, fv[1:n + 1], reversed(caps))),
+            )
+            s = _reduce(params, raw, (cs,))
+            vs = _valpi_or_caps(params, s, (cs,))[0]
+            # out_n = -(s * inv0)
+            c = min(cs + v_inv0, inv0.cap + vs, prec)
+            raw = _ring_product(params, s, inv0.digits, _scalar)
+            out = _reduce(params, [[-v for v in z] for z in raw], (c,))
+            for plane, d in zip(planes, out):
+                plane.append(d[0])
+            caps.append(c)
+            vals.append(_valpi_or_caps(params, out, (c,))[0])
+        return PadicSeries._make(params, tuple([tuple(p) for p in planes]), tuple(caps))
 
     # -- truncation / shifts ---------------------------------------------------------
 
     def reduce_nx(self, nx: int) -> "PadicSeries":
         if nx >= self.nx:
             return self
-        return PadicSeries(self.params, self.coeffs[:nx], nx)
+        return PadicSeries._make(
+            self.params, tuple([p[:nx] for p in self.planes]), self.caps[:nx]
+        )
 
     def shift_up(self, j: int) -> "PadicSeries":
-        """Multiply by x^j (x-precision unchanged, top coefficients fall off)."""
-        zero = PadicElt.zero(self.params)
-        return PadicSeries(self.params, [zero] * j + list(self.coeffs[: self.nx - j]), self.nx)
+        """Multiply by x^j: the product is known modulo x^(nx + j)."""
+        zeros = (0,) * j
+        return PadicSeries._make(
+            self.params,
+            tuple([zeros + p for p in self.planes]),
+            (self.params.prec_pi,) * j + self.caps,
+        )
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, PadicSeries)
             and self.params == other.params
-            and self.nx == other.nx
-            and self.coeffs == other.coeffs
+            and self.caps == other.caps
+            and self.planes == other.planes
         )
 
     def __hash__(self) -> int:
-        return hash((self.params, self.nx, self.coeffs))
+        return hash((self.params, self.planes, self.caps))
 
     def __repr__(self) -> str:
-        head = ", ".join(repr(c) for c in self.coeffs[:4])
+        head = ", ".join(repr(self.coeff(j)) for j in range(min(4, self.nx)))
         return f"PadicSeries([{head}, ...] mod x^{self.nx})"
 
 
@@ -424,8 +589,12 @@ def _exponent_key(c: int | PadicElt):
 
 
 @lru_cache(maxsize=48)
-def _subst_powers(params: PadicParams, nx: int, key) -> tuple[PadicSeries, ...]:
-    """(u^0, ..., u^(nx-1)) for u = (1+x)^c - 1."""
+def _subst_table(params: PadicParams, nx: int, key):
+    """Columns of (u^0, ..., u^(nx-1)) for u = (1+x)^c - 1, as integers.
+
+    Column k lists the x^k coefficients of u^0..u^k (u^i starts at x^i):
+    (digit planes, caps, valuations, least cap of the table).
+    """
     if key[0] == "int":
         c = key[1]
         base = [PadicElt.from_int(params, _int_binom(c, j)) for j in range(1, nx)]
@@ -438,19 +607,39 @@ def _subst_powers(params: PadicParams, nx: int, key) -> tuple[PadicSeries, ...]:
     powers = [PadicSeries.one(params, nx)]
     for _ in range(1, nx):
         powers.append(powers[-1] * u)
-    return tuple(powers)
+
+    def columns(rows):
+        return tuple([col[: k + 1] for k, col in enumerate(zip(*rows))])
+
+    planes = tuple([columns([pw.planes[s] for pw in powers]) for s in range(params.e)])
+    caps = columns([pw.caps for pw in powers])
+    vals = columns([pw._valuations() for pw in powers])
+    return planes, caps, vals, min(map(min, caps))
 
 
 def substitute_onepx_power(f: PadicSeries, c: int | PadicElt) -> PadicSeries:
-    """f((1+x)^c - 1), for an integer or p-adic exponent c."""
+    """f((1+x)^c - 1), for an integer or p-adic exponent c.
+
+    An integer matrix-vector product: the x^k coefficient is
+    sum_{i<=k} f_i [x^k] u^i.
+    """
     if isinstance(c, PadicElt) and c.params != f.params:
         raise ParamMismatch("exponent lives over a different ring")
-    powers = _subst_powers(f.params, f.nx, _exponent_key(c))
-    acc = PadicSeries.zero(f.params, f.nx)
-    for i, ci in enumerate(f.coeffs):
-        if not ci.is_zero_at_cap() or ci.cap < f.params.prec_pi:
-            acc = acc + powers[i].scale(ci)
-    return acc
+    params, n = f.params, f.nx
+    prec = params.prec_pi
+    planes, caps, vals, least_cap = _subst_table(params, n, _exponent_key(c))
+
+    raw = _ring_product(
+        params, f.planes, planes, lambda x, cols: [sum(map(mul, x, col)) for col in cols]
+    )
+    cf, vf = f.caps, f._valuations()
+    out = [prec] * n
+    # each bound below is met by no term when its minimum reaches prec_pi
+    if min(cf) < prec:   # the table's least valuation is v(u^0_0) = 0
+        out = [min(o, min(map(add, cf, v))) for o, v in zip(out, vals)]
+    if min(vf) + least_cap < prec:
+        out = [min(o, min(map(add, vf, cc))) for o, cc in zip(out, caps)]
+    return PadicSeries._reduced(params, raw, out)
 
 
 def frobenius(f: PadicSeries) -> PadicSeries:

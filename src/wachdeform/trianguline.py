@@ -160,7 +160,7 @@ def psi_eval(alpha: PadicElt, s) -> PadicElt:
 class CoeffBoundReport:
     """Outcome of the unit-ball estimate on the interpolation coefficients."""
 
-    alpha_lift: int
+    alpha_digits: tuple[int, ...]
     n_max: int
     min_coeff_val: Fraction
     nonneg: bool
@@ -202,7 +202,7 @@ def coeff_bound_check(
             if tv is not None and Fraction(tv, params.e) < g_val:
                 gouvea_ok = False
     return CoeffBoundReport(
-        alpha_lift=alpha.lift_int(),
+        alpha_digits=alpha.digits,
         n_max=n_max,
         min_coeff_val=min(vals),
         nonneg=nonneg,

@@ -302,11 +302,16 @@ def seed_companion(
     for n in range(1, nx):
         pq.append(pq[-1].reduce_nx(nx - n).scale_series(q_series))
 
+    # acc = sum over solved orders n of x^n (P Q^n G_n - G_n gamma(P)); its x^j
+    # coefficient is the right-hand side C_j of the order-j equation
     mats: list[Mat2] = [Mat2.identity(params)]
+    acc = MatrixSeries.zero(params, nx)
     for j in range(1, nx):
-        c = Mat2.zero(params)
-        for n in range(j):
-            c = c + pq[n].coeff(j - n) * mats[n] - mats[n] * gamma_p.coeff(j - n)
+        g = mats[j - 1]
+        acc = acc + (
+            pq[j - 1].right_mul_mat(g) - gamma_p.reduce_nx(nx - j + 1).left_mul_mat(g)
+        ).shift_up(j - 1)
+        c = acc.coeff(j)
         if j >= k:
             s = _solve_order_high(params, k, p0, j, c)
         else:

@@ -62,6 +62,15 @@ def test_psi_square_root_of_four(capsys):
     assert out.startswith(str(3 ** 24 - 2))
 
 
+def test_psi_ramified_prints_digits(capsys):
+    code, out = run("psi", "--p", "3", "--e", "2", "--alpha", "4", "--s", "1/2",
+                    capsys=capsys)
+    assert code == 0
+    digits, modulus = out.split(" (mod ")
+    assert len(digits.split(",")) == 2
+    assert modulus.strip() == "3^12)"
+
+
 def test_psi_outside_domain_is_an_error():
     assert main(["psi", "--p", "3", "--alpha", "2", "--s", "1/2"]) == 1
 

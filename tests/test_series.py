@@ -1,6 +1,7 @@
 """Series ring, substitutions, cyclotomic divisor, Weierstrass division."""
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wachdeform.errors import DivisionByNonUnit, NonInvertibleDeterminant, PrecisionExhausted
-from wachdeform.padics import PadicElt, PadicParams
+from wachdeform.padics import PadicElt, PadicParams, binom_coeffs
 from wachdeform.series import (
     Mat2,
     MatrixSeries,
@@ -238,3 +239,117 @@ def test_div_distinguished_truncation_caps_are_honest():
     if f1.same_at_cap(f2):
         assert gg1.same_at_cap(gg2)
         assert rr1.same_at_cap(rr2)
+
+
+# --------------------------------------------------------------------------
+# the integer kernel against element-by-element reference loops
+# --------------------------------------------------------------------------
+# The references below are the series operations written over PadicElt, one
+# coefficient at a time.  Every coefficient's digits and cap must agree, so
+# the operands mix caps: exact zeros (cap prec_pi), zeros known only to a low
+# cap, and nonzero coefficients at every cap.
+
+def ref_mul(f, g):
+    params, n = f.params, min(f.nx, g.nx)
+    zero = PadicElt.zero(params)
+    out = [zero] * n
+    for i, a in enumerate(f.coeffs[:n]):
+        if a.is_zero_at_cap() and a.cap >= params.prec_pi:
+            continue
+        for j, b in enumerate(g.coeffs[: n - i]):
+            t = a * b
+            out[i + j] = t if out[i + j] is zero else out[i + j] + t
+    return out
+
+
+def ref_subst(f, c):
+    params, n = f.params, f.nx
+    if isinstance(c, PadicElt):
+        base = binom_coeffs(c, n - 1)[1:]
+    else:
+        base = [
+            PadicElt.from_int(params, math.prod(range(c - j + 1, c + 1)) // math.factorial(j))
+            for j in range(1, n)
+        ]
+    u = PadicSeries(params, [PadicElt.zero(params)] + base, n)
+    powers = [PadicSeries.one(params, n)]
+    for _ in range(1, n):
+        powers.append(PadicSeries(params, ref_mul(powers[-1], u), n))
+    acc = [PadicElt.zero(params)] * n
+    for i, ci in enumerate(f.coeffs):
+        if not ci.is_zero_at_cap() or ci.cap < params.prec_pi:
+            acc = [a + ci * b for a, b in zip(acc, powers[i].coeffs)]
+    return acc
+
+
+def ref_invert(f):
+    inv0 = f.coeff(0).invert()
+    out = [inv0]
+    for n in range(1, f.nx):
+        s = f.coeff(1) * out[n - 1]
+        for i in range(2, n + 1):
+            s = s + f.coeff(i) * out[n - i]
+        out.append(-(s * inv0))
+    return out
+
+
+def digits_and_caps(xs):
+    return [(x.digits, x.cap) for x in xs]
+
+
+RINGS = [PadicParams(3, 1, 9), PadicParams(5, 1, 7), PadicParams(3, 2, 9)]
+
+
+@st.composite
+def capped_elts(draw, params):
+    kind = draw(st.sampled_from(["exact_zero", "low_zero", "any", "full"]))
+    prec = params.prec_pi
+    if kind == "exact_zero":
+        return PadicElt.zero(params)
+    cap = prec if kind == "full" else draw(st.integers(1, prec - (kind == "low_zero")))
+    if kind == "low_zero":
+        return PadicElt.zero(params, cap)
+    bound = params.p ** prec
+    digits = draw(st.lists(st.integers(-bound, bound), min_size=params.e, max_size=params.e))
+    return PadicElt(params, digits, cap)
+
+
+@st.composite
+def series_pair(draw):
+    params = draw(st.sampled_from(RINGS))
+    nx = draw(st.integers(1, 7))
+    elts = st.lists(capped_elts(params), min_size=nx, max_size=nx)
+    f = PadicSeries(params, draw(elts), nx)
+    g = PadicSeries(params, draw(elts), draw(st.integers(1, 7)))
+    return f, g, draw(capped_elts(params))
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_pair())
+def test_kernel_matches_elementwise_reference(fgc):
+    f, g, c = fgc
+    n = min(f.nx, g.nx)
+    assert digits_and_caps((f * g).coeffs) == digits_and_caps(ref_mul(f, g))
+    assert digits_and_caps((f + g).coeffs) == digits_and_caps(
+        [a + b for a, b in zip(f.coeffs[:n], g.coeffs[:n])]
+    )
+    assert digits_and_caps((f - g).coeffs) == digits_and_caps(
+        [a - b for a, b in zip(f.coeffs[:n], g.coeffs[:n])]
+    )
+    assert digits_and_caps(f.scale(c).coeffs) == digits_and_caps([c * a for a in f.coeffs])
+    if f.eval0().is_unit():
+        assert digits_and_caps(f.invert().coeffs) == digits_and_caps(ref_invert(f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_pair(), st.integers(-3, 9), st.integers(0, 80), st.integers(4, 9))
+def test_substitution_matches_elementwise_reference(fgc, c_int, c_lift, c_cap):
+    f = fgc[0]
+    assert digits_and_caps(substitute_onepx_power(f, c_int).coeffs) == digits_and_caps(
+        ref_subst(f, c_int)
+    )
+    # a p-adic exponent in Z_p, known to a cap of its own (deep enough for C(c, n), n < 7)
+    c = PadicElt.from_int(f.params, c_lift, c_cap)
+    assert digits_and_caps(substitute_onepx_power(f, c).coeffs) == digits_and_caps(
+        ref_subst(f, c)
+    )

@@ -108,6 +108,13 @@ def test_coeff_bound_check_to_200():
     assert rep.min_coeff_val == 0        # c_0 = 1
     assert rep.gouvea_ok
     assert rep.n_max == 200
+    assert rep.alpha_digits == (4,)
+
+
+def test_coeff_bound_check_ramified():
+    rep = coeff_bound_check(elt(4, PadicParams(3, 2, 12)), 40)
+    assert rep.ok
+    assert rep.alpha_digits == (4, 0)
 
 
 # --------------------------------------------------------------------------- #
