@@ -320,11 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_alpha)
 
     sp = sub.add_parser("psi", help="evaluate alpha^s by both series routes")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--e", type=int, default=1)
-    sp.add_argument("--prec-pi", type=int, default=0)
-    sp.add_argument("--alpha", type=_rat, required=True)
-    sp.add_argument("--s", type=_rat, required=True)
+    sp.add_argument("--p", type=int, required=True, help="residue characteristic")
+    sp.add_argument("--e", type=int, default=1, help="ramification index (default 1)")
+    sp.add_argument("--prec-pi", type=int, default=0, help="pi-adic cap (default 24)")
+    sp.add_argument("--alpha", type=_rat, required=True,
+                    help="base alpha in 1 + pZ_p (exact rational)")
+    sp.add_argument("--s", type=_rat, required=True, help="exponent s in Z_p (exact rational)")
     sp.set_defaults(fn=cmd_psi)
 
     sp = sub.add_parser("star", help="minimal weight satisfying hypothesis (*)")

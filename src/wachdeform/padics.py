@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import add
 from typing import Iterable
 
 from .errors import (
@@ -43,7 +44,6 @@ __all__ = [
     "PadicParams",
     "PadicElt",
     "ScaledElt",
-    "QpMultChar",
     "val",
     "val_or_cap",
     "vp",
@@ -135,6 +135,16 @@ class PadicParams:
             return 1
         return _ppow(self.p, -(-t // self.e))
 
+    @cached_property
+    def digit_tables(self) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
+        """(moduli, log): moduli[j][c] = digit_modulus(c, j) for c <= prec_pi, log[p^t] = t."""
+        moduli = tuple(
+            tuple(self.digit_modulus(c, j) for c in range(self.prec_pi + 1))
+            for j in range(self.e)
+        )
+        log = {self.p ** t: t for t in range(-(-self.prec_pi // self.e) + 1)}
+        return moduli, log
+
 
 def _check_same(a: "PadicElt", b: "PadicElt") -> None:
     if a.params != b.params:
@@ -159,9 +169,7 @@ class PadicElt:
             raise PrecisionExhausted("element cap fell below one digit")
         object.__setattr__(self, "params", params)
         object.__setattr__(
-            self,
-            "digits",
-            tuple(d % params.digit_modulus(cap, j) for j, d in enumerate(ds)),
+            self, "digits", tuple([d % m[cap] for d, m in zip(ds, params.digit_tables[0])])
         )
         object.__setattr__(self, "cap", cap)
 
@@ -187,17 +195,11 @@ class PadicElt:
 
     def valpi(self) -> int | None:
         """Integer pi-adic valuation, or None if zero at this cap."""
-        best: int | None = None
-        for j, d in enumerate(self.digits):
-            if d:
-                w = j + self.params.e * vp(d, self.params.p)
-                if best is None or w < best:
-                    best = w
-        return best
+        v = self.valpi_or_cap()
+        return None if v == self.cap else v
 
     def valpi_or_cap(self) -> int:
-        v = self.valpi()
-        return self.cap if v is None else v
+        return _valpi_or_cap(self.params, self.digits, self.cap)
 
     def is_zero_at_cap(self) -> bool:
         return all(d == 0 for d in self.digits)
@@ -228,17 +230,7 @@ class PadicElt:
 
     def __mul__(self, other: "PadicElt") -> "PadicElt":
         _check_same(self, other)
-        p, e = self.params.p, self.params.e
-        prod = [0] * (2 * e - 1) if e > 1 else [self.digits[0] * other.digits[0]]
-        if e > 1:
-            for i, a in enumerate(self.digits):
-                if a:
-                    for j, b in enumerate(other.digits):
-                        if b:
-                            prod[i + j] += a * b
-            for t in range(2 * e - 2, e - 1, -1):  # pi^e = p
-                prod[t - e] += prod[t] * p
-            prod = prod[:e]
+        prod = _ring_mul(self.params, self.digits, other.digits)
         c = min(
             self.cap + other.valpi_or_cap(),
             other.cap + self.valpi_or_cap(),
@@ -292,11 +284,8 @@ class PadicElt:
             return self.pi_div_exact(-t)
         if t == 0:
             return self
-        e, p = self.params.e, self.params.p
-        ds = list(self.digits)
-        for _ in range(t):
-            ds = [ds[-1] * p] + ds[:-1] if e > 1 else [ds[0] * p]
-        return PadicElt(self.params, ds, min(self.cap + t, self.params.prec_pi))
+        cap = min(self.cap + t, self.params.prec_pi)
+        return PadicElt(self.params, _pi_shift(self.params, self.digits, t), cap)
 
     def pi_div_exact(self, t: int) -> "PadicElt":
         """Divide by pi^t; every digit must be exactly divisible."""
@@ -306,18 +295,9 @@ class PadicElt:
             return self
         if self.cap - t < 1:
             raise PrecisionExhausted(f"cap {self.cap} cannot absorb pi^{t} division")
-        e, p = self.params.e, self.params.p
-        ds = list(self.digits)
-        for _ in range(t):
-            if e == 1:
-                if ds[0] % p:
-                    raise InexactDivision("pi does not divide element")
-                ds = [ds[0] // p]
-            else:
-                if ds[0] % p:
-                    raise InexactDivision("pi does not divide element")
-                ds = ds[1:] + [ds[0] // p]
-        return PadicElt(self.params, ds, self.cap - t)
+        if self.valpi_or_cap() < t:
+            raise InexactDivision("pi does not divide element")
+        return PadicElt(self.params, _pi_unshift(self.params, self.digits, t), self.cap - t)
 
     def divide_exact(self, other: "PadicElt") -> "PadicElt":
         """x / y when y | x in O_E; sharp zealous precision.
@@ -439,10 +419,6 @@ class ScaledElt:
         """Exact integer pi-valuation (None when zero at floor)."""
         return None if self.is_zero_at_floor() else self.exp
 
-    def val(self) -> Fraction | None:
-        v = self.valpi()
-        return None if v is None else Fraction(v, self.params.e)
-
     def floor(self) -> int:
         """The value is known modulo pi^floor()."""
         return self.exp + self.mantissa.cap
@@ -458,14 +434,6 @@ class ScaledElt:
         if other.is_zero_at_floor():
             raise DivisionByNonUnit("scaled divisor indistinguishable from zero")
         return ScaledElt(self.mantissa.div_unit(other.mantissa), self.exp - other.exp)
-
-    def div_int(self, n: int) -> "ScaledElt":
-        if n == 0:
-            raise ZeroInput("division by zero")
-        p, e = self.params.p, self.params.e
-        v = vp(n, p)
-        u = PadicElt.from_int(self.params, n // _ppow(p, v))
-        return ScaledElt(self.mantissa.div_unit(u), self.exp - e * v)
 
     def power(self, n: int) -> "ScaledElt":
         if n < 0:
@@ -490,6 +458,92 @@ class ScaledElt:
 
 
 # --------------------------------------------------------------------------- #
+# integer kernel
+# --------------------------------------------------------------------------- #
+#
+# Teichmueller, log, exp and the running quotients run on digit lists plus one
+# cap per value, with the cap rules of the module docstring.  A value that feeds only a
+# sum may be carried modulo p^ceil(cap/e), a multiple of its digit moduli: the
+# sum is reduced once, at a cap never above that of a term.
+
+def _canon(params: PadicParams, ds, cap: int) -> list[int]:
+    """Canonical digits at cap (what PadicElt stores)."""
+    return [d % m[cap] for d, m in zip(ds, params.digit_tables[0])]
+
+
+def _valpi_or_cap(params: PadicParams, ds, cap: int) -> int:
+    """valpi-or-cap of digits known at cap, reduced or not (a multiple of the modulus is 0)."""
+    v = cap
+    for j, d in enumerate(ds):
+        if d:
+            w = j + params.e * vp(d, params.p)
+            if w < v:
+                v = w
+    return v
+
+
+def _ring_mul(params: PadicParams, a, b) -> list[int]:
+    """Unreduced digits of a * b in Z[pi]/(pi^e - p)."""
+    e = params.e
+    if e == 1:
+        return [a[0] * b[0]]
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] += x * y
+    for t in range(2 * e - 2, e - 1, -1):  # pi^e = p
+        prod[t - e] += prod[t] * params.p
+    return prod[:e]
+
+
+def _pi_shift(params: PadicParams, ds, t: int) -> list[int]:
+    """Digits of pi^t * x for t >= 0 (pi^e = p carries the top digits round)."""
+    q, r = divmod(t, params.e)
+    pq, k = _ppow(params.p, q), params.e - r
+    if not r:
+        return [d * pq for d in ds]
+    return [d * pq * params.p for d in ds[k:]] + [d * pq for d in ds[:k]]
+
+
+def _pi_unshift(params: PadicParams, ds, t: int) -> list[int]:
+    """Digits of x / pi^t where t <= valpi(x), so every division is exact."""
+    q, r = divmod(t, params.e)
+    pq = _ppow(params.p, q)
+    return [d // pq for d in ds[r:]] + [d // (pq * params.p) for d in ds[:r]]
+
+
+def _running_quotients(params: PadicParams, factors, fail) -> list[PadicElt]:
+    """[1, q_1, ..., q_N] with q_n = f_1 ... f_n / n!, the f_n given as (digits, cap).
+
+    As in ScaledElt, q_n is a unit (or zero) mantissa times an exact pi-power,
+    and ``fail(n)`` is raised for the first nonzero q_n outside O_E.
+    """
+    e, p, prec = params.e, params.p, params.prec_pi
+    out = [PadicElt.one(params)]
+    m, mcap, mv, exp = [1] + [0] * (e - 1), prec, 0, 0   # mv: valpi-or-cap of m
+    for n, (f, fcap) in enumerate(factors, 1):
+        fv, fexp = _valpi_or_cap(params, f, fcap), 0
+        if fv < fcap:                 # normalise f to unit * pi^fexp
+            f, fcap, fexp, fv = _pi_unshift(params, _canon(params, f, fcap), fv), fcap - fv, fv, 0
+        cap = min(mcap + fv, fcap + mv, prec)
+        vn = vp(n, p)
+        inv = pow(n // _ppow(p, vn), -1, _ppow(p, -(-cap // e)))
+        m = _canon(params, [d * inv for d in _ring_mul(params, m, f)], cap)
+        mcap, mv, exp = cap, (cap if mv or fv else 0), exp + fexp - e * vn
+        if mv:
+            if exp + mcap < 1:
+                raise PrecisionExhausted("scaled zero has no integral digits left")
+            out.append(PadicElt.zero(params, exp + mcap))
+        elif exp < 0:
+            raise fail(n)
+        else:
+            out.append(PadicElt(params, _pi_shift(params, m, exp), mcap + exp))
+    return out
+
+
+# --------------------------------------------------------------------------- #
 # Teichmueller
 # --------------------------------------------------------------------------- #
 
@@ -498,36 +552,45 @@ def teichmuller_decompose(x: PadicElt) -> tuple[int, PadicElt, PadicElt]:
 
     Unramified case only.  Returns (v, omega, angle).
     """
-    if x.params.e != 1:
+    params = x.params
+    if params.e != 1:
         raise RamifiedUnsupported("Teichmueller lift needs e = 1")
     v = x.valpi()
     if v is None:
         raise ZeroInput("cannot decompose zero at cap")
-    u = x.pi_div_exact(v)
-    w = u
-    for _ in range(u.cap + 2):
-        w_next = w ** x.params.p
+    p, cap = params.p, x.cap - v
+    mod = _ppow(p, cap)
+    u = w = x.digits[0] // _ppow(p, v)
+    for _ in range(cap + 2):
+        w_next = pow(w, p, mod)
         if w_next == w:
             break
         w = w_next
     else:
         raise PrecisionExhausted("Teichmueller iteration did not stabilize")
-    angle = u.div_unit(w)
-    if (angle - PadicElt.one(x.params, angle.cap)).is_unit():
+    angle = u * pow(w, -1, mod) % mod
+    if (angle - 1) % p:
         raise DomainError("angle component not in 1 + pZ_p")
-    return v, w, angle
+    return v, PadicElt(params, [w], cap), PadicElt(params, [angle], cap)
 
 
 # --------------------------------------------------------------------------- #
 # log / exp
 # --------------------------------------------------------------------------- #
 
-def _ilog(n: int, p: int) -> int:
-    r = 0
-    while n >= p:
-        n //= p
-        r += 1
-    return r
+def _unit_power_sum(params: PadicParams, z, cap: int, t: int, acc, terms) -> PadicElt:
+    """acc + sum_n u^n pi^(s_n) / c_n for z = u pi^t known at cap, integers c_n prime to p."""
+    e = params.e
+    cu = cap - t
+    mod = _ppow(params.p, -(-cu // e))
+    u = _pi_unshift(params, _canon(params, z, cap), t)
+    un = [1] + [0] * (e - 1)
+    for c, shift in terms:
+        un = [d % mod for d in _ring_mul(params, un, u)]
+        inv = pow(c, -1, mod)
+        acc = list(map(add, acc, _pi_shift(params, [d * inv for d in un], shift)))
+        cap = min(cap, cu + shift)
+    return PadicElt(params, acc, cap)
 
 
 def plog(x: PadicElt) -> PadicElt:
@@ -537,65 +600,50 @@ def plog(x: PadicElt) -> PadicElt:
     the divisions by n cost relative precision only where they must.
     """
     params = x.params
-    z = x - PadicElt.one(params, x.cap)
-    if z.is_zero_at_cap():
-        return PadicElt.zero(params, z.cap)
-    t = z.valpi()
+    e, p, cap = params.e, params.p, x.cap
+    z = [x.digits[0] - 1, *x.digits[1:]]
+    t = _valpi_or_cap(params, z, cap)
+    if t == cap:
+        return PadicElt.zero(params, cap)
     if t < 1:
-        raise OutOfConvergenceDomain(f"v(x-1) = {Fraction(t, params.e)} < 1/e")
-    e, p = params.e, params.p
-    target = min(z.cap, params.prec_pi)
-    u = z.pi_div_exact(t)
-    acc = PadicElt.zero(params, target)
-    un = PadicElt.one(params, u.cap)
-    n = 1
-    while True:
-        if n >= e and n * t - e * (_ilog(n, p) + 1) >= target:
-            break
-        un = un * u
-        vn = vp(n, p)
-        if n * t - e * vn < 1:
-            raise OutOfConvergenceDomain(
-                f"log term {n} has valuation {Fraction(n * t - e * vn, e)}; "
-                "series leaves the integral ring"
-            )
-        mant = un.div_unit(PadicElt.from_int(params, n // _ppow(p, vn)))
-        if n % 2 == 0:
-            mant = -mant
-        acc = acc + mant.pi_mul(n * t - e * vn)
-        n += 1
-    return acc.reduce_cap(target)
+        raise OutOfConvergenceDomain(f"v(x-1) = {Fraction(t, e)} < 1/e")
+
+    def terms():
+        n, width = 1, 1            # width: number of base-p digits of n
+        while n < e or n * t - e * width < cap:
+            vn = vp(n, p)
+            if n * t - e * vn < 1:
+                raise OutOfConvergenceDomain(
+                    f"log term {n} has valuation {Fraction(n * t - e * vn, e)}; "
+                    "series leaves the integral ring"
+                )
+            yield (-1) ** (n + 1) * (n // _ppow(p, vn)), n * t - e * vn
+            n += 1
+            width += n == _ppow(p, width)
+
+    return _unit_power_sum(params, z, cap, t, [0] * e, terms())
 
 
 def pexp(y: PadicElt) -> PadicElt:
     """p-adic exponential, defined for v(y) > 1/(p-1)."""
     params = y.params
-    e, p = params.e, params.p
+    e, p, cap = params.e, params.p, y.cap
     if y.is_zero_at_cap():
-        return PadicElt.one(params, y.cap)
+        return PadicElt.one(params, cap)
     t = y.valpi()
     if t * (p - 1) <= e:
-        raise OutOfConvergenceDomain(
-            f"v(y) = {Fraction(t, e)} <= 1/(p-1); exp diverges"
-        )
-    target = min(y.cap, params.prec_pi)
-    u = y.pi_div_exact(t)
-    fact_mod = _ppow(p, -(-params.prec_pi // e) + 1)
-    acc = PadicElt.one(params, target)
-    un = PadicElt.one(params, u.cap)
-    fact_unit, vpf = 1, 0
-    n = 1
-    while True:
-        if n * (t * (p - 1) - e) + e >= target * (p - 1):
-            break
-        un = un * u
-        vn = vp(n, p)
-        vpf += vn
-        fact_unit = fact_unit * (n // _ppow(p, vn)) % fact_mod
-        mant = un.div_unit(PadicElt.from_int(params, fact_unit))
-        acc = acc + mant.pi_mul(n * t - e * vpf)
-        n += 1
-    return acc.reduce_cap(target)
+        raise OutOfConvergenceDomain(f"v(y) = {Fraction(t, e)} <= 1/(p-1); exp diverges")
+
+    def terms():
+        fact_unit, vpf, n = 1, 0, 1
+        while n * (t * (p - 1) - e) + e < cap * (p - 1):
+            vn = vp(n, p)
+            vpf += vn
+            fact_unit = fact_unit * (n // _ppow(p, vn)) % _ppow(p, -(-cap // e))
+            yield fact_unit, n * t - e * vpf
+            n += 1
+
+    return _unit_power_sum(params, y.digits, cap, t, [1] + [0] * (e - 1), terms())
 
 
 # --------------------------------------------------------------------------- #
@@ -658,61 +706,9 @@ def binom_coeffs(s: PadicElt, n_max: int) -> list[PadicElt]:
     The running value is kept in factored form; integrality (automatic for
     s in Z_p) is checked exactly on the pi-exponent, not at the cap.
     """
-    params = s.params
-    out = [PadicElt.one(params)]
-    cur = ScaledElt(PadicElt.one(params))
-    for n in range(1, n_max + 1):
-        cur = cur.mul(s - PadicElt.from_int(params, n - 1)).div_int(n)
-        if not cur.is_zero_at_floor() and cur.exp < 0:
-            raise InexactDivision(f"C(s,{n}) not integral; is s in Z_p?")
-        out.append(cur.to_padic())
-    return out
-
-
-# --------------------------------------------------------------------------- #
-# multiplicative characters of Q_p^x
-# --------------------------------------------------------------------------- #
-
-@dataclass(frozen=True)
-class QpMultChar:
-    """A continuous character Q_p^x -> E^x from the standard generators.
-
-    kind:
-      "mu"          x |-> z^(vp(x))            (unramified, z in E^x)
-      "chi_power"   x |-> <x>^j with <x> = x p^(-vp(x))  (full unit part)
-      "omega_power" x |-> omega(x)^j           (Teichmueller part)
-      "product"     pointwise product of factors
-    """
-
-    kind: str
-    z: ScaledElt | None = None
-    exponent: int = 0
-    factors: tuple["QpMultChar", ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("mu", "chi_power", "omega_power", "product"):
-            raise DomainError(f"unknown character kind {self.kind!r}")
-        if self.kind == "mu" and (self.z is None or self.z.is_zero_at_floor()):
-            raise DomainError("mu requires a nonzero scale z")
-
-    def evaluate(self, x: PadicElt, vp_shift: int = 0) -> ScaledElt:
-        """Value at x * p^vp_shift (the shift admits arguments outside O_E)."""
-        params = x.params
-        vx = x.valpi()
-        if vx is None:
-            raise ZeroInput("character undefined at zero")
-        if vx % params.e:
-            raise DomainError("argument is not in Q_p (fractional valuation)")
-        vp_total = vx // params.e + vp_shift
-        if self.kind == "mu":
-            return self.z.power(vp_total)
-        if self.kind == "chi_power":
-            return ScaledElt(x.unit_part() ** self.exponent)
-        if self.kind == "omega_power":
-            _, omega, _ = teichmuller_decompose(x)
-            j = self.exponent % (params.p - 1)
-            return ScaledElt(omega ** j)
-        out = ScaledElt(PadicElt.one(params))
-        for f in self.factors:
-            out = out.mul(f.evaluate(x, vp_shift))
-        return out
+    d0, rest = s.digits[0], s.digits[1:]
+    return _running_quotients(
+        s.params,
+        (((d0 - n + 1, *rest), s.cap) for n in range(1, n_max + 1)),
+        lambda n: InexactDivision(f"C(s,{n}) not integral; is s in Z_p?"),
+    )

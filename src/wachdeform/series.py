@@ -48,23 +48,12 @@ __all__ = [
 # (larger) caps first changes nothing, so the kernel sums unreduced integers
 # and reduces once: the digits and caps are those of the element-wise loops.
 
-@lru_cache(maxsize=None)
-def _ring_tables(params: PadicParams) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
-    """(moduli, log): moduli[s][c] is the modulus of digit s at cap c, log[p^t] = t."""
-    moduli = tuple(
-        tuple(params.digit_modulus(c, s) for c in range(params.prec_pi + 1))
-        for s in range(params.e)
-    )
-    log = {params.p ** t: t for t in range(-(-params.prec_pi // params.e) + 1)}
-    return moduli, log
-
-
 def _reduce(params: PadicParams, raw, caps) -> tuple[tuple[int, ...], ...]:
     """Canonical digit planes of raw integer planes at the given caps."""
     # tuples are built from lists, not iterators: a tuple grown from an
     # iterator is resized outside CPython's per-size free lists but returns to
     # them when freed, so short truncated series would fill those lists
-    moduli = _ring_tables(params)[0]
+    moduli = params.digit_tables[0]
     return tuple([
         tuple(list(map(mod, plane, map(moduli[s].__getitem__, caps))))
         for s, plane in enumerate(raw)
@@ -73,7 +62,7 @@ def _reduce(params: PadicParams, raw, caps) -> tuple[tuple[int, ...], ...]:
 
 def _valpi_or_caps(params: PadicParams, planes, caps) -> tuple[int, ...]:
     """valpi-or-cap of each coefficient; gcd(d, modulus) = p^vp(d), or the modulus at d = 0."""
-    moduli, log = _ring_tables(params)
+    moduli, log = params.digit_tables
     e = params.e
     per_digit = [
         [s + e * log[g] for g in map(math.gcd, plane, map(moduli[s].__getitem__, caps))]

@@ -21,6 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .deform import deform_trace, DeformCertificate
 from .errors import (
@@ -36,6 +37,10 @@ from .padics import (
     PadicElt,
     PadicParams,
     ScaledElt,
+    _canon,
+    _ring_mul,
+    _running_quotients,
+    _valpi_or_cap,
     binom_coeffs,
     pexp,
     plog,
@@ -60,14 +65,14 @@ __all__ = [
 ]
 
 
-def _require_angle(alpha: PadicElt) -> None:
-    """alpha must lie in 1 + pZ_p (valuation of alpha - 1 at least 1)."""
-    z = alpha - PadicElt.one(alpha.params, alpha.cap)
-    v = z.valpi()
-    if v is not None and v < alpha.params.e:
-        raise DomainError(
-            f"argument not in 1 + pZ_p: v(alpha - 1) = {Fraction(v, alpha.params.e)}"
-        )
+def _angle_offset(alpha: PadicElt) -> tuple[list[int], int | None]:
+    """alpha - 1 (digits at alpha's cap) and its valuation, None at zero; alpha in 1 + pZ_p."""
+    params = alpha.params
+    z = _canon(params, [alpha.digits[0] - 1, *alpha.digits[1:]], alpha.cap)
+    v = _valpi_or_cap(params, z, alpha.cap)
+    if v < params.e and v < alpha.cap:
+        raise DomainError(f"argument not in 1 + pZ_p: v(alpha - 1) = {Fraction(v, params.e)}")
+    return z, (None if v == alpha.cap else v)
 
 
 def _as_zp(params: PadicParams, s) -> PadicElt:
@@ -95,17 +100,13 @@ class PsiMap:
 
     @classmethod
     def build(cls, alpha: PadicElt, n_max: int) -> "PsiMap":
-        _require_angle(alpha)
+        _angle_offset(alpha)
         la = plog(alpha)
-        coeffs = [PadicElt.one(alpha.params)]
-        cur = ScaledElt(PadicElt.one(alpha.params))
-        for n in range(1, n_max + 1):
-            cur = cur.mul(ScaledElt(la)).div_int(n)
-            if not cur.is_zero_at_floor() and cur.exp < 0:
-                raise NormViolation(
-                    f"|c_{n}| > 1: the interpolation series leaves the unit ball"
-                )
-            coeffs.append(cur.to_padic())
+        coeffs = _running_quotients(
+            alpha.params,
+            [(la.digits, la.cap)] * n_max,
+            lambda n: NormViolation(f"|c_{n}| > 1: the interpolation series leaves the unit ball"),
+        )
         return cls(alpha=alpha, log_alpha=la, coeffs=tuple(coeffs))
 
     def eval_at(self, s: PadicElt) -> PadicElt:
@@ -118,6 +119,24 @@ class PsiMap:
         return acc
 
 
+def _binomial_route(alpha: PadicElt, z: list[int], t: int | None, s: PadicElt) -> PadicElt:
+    """sum_n C(s, n) z^n for z = alpha - 1 of valuation t, on the integer kernel."""
+    params = alpha.params
+    prec, e = params.prec_pi, params.e
+    acc = [1] + [0] * (e - 1)
+    if t is None:
+        return PadicElt(params, acc, alpha.cap)
+    bc = binom_coeffs(s, prec // t + 1)
+    cap, zpow, zcap, zv = prec, list(acc), prec, 0
+    for b in bc[1:]:
+        # valuations add in O_E, so v(z^n) is min(v(z^(n-1)) + t, cap)
+        zcap = min(zcap + t, alpha.cap + zv, prec)
+        zpow, zv = _canon(params, _ring_mul(params, zpow, z), zcap), min(zv + t, zcap)
+        cap = min(cap, b.cap + zv, zcap + _valpi_or_cap(params, b.digits, b.cap))
+        acc = list(map(add, acc, _ring_mul(params, b.digits, zpow)))
+    return PadicElt(params, acc, cap)
+
+
 def psi_eval(alpha: PadicElt, s) -> PadicElt:
     """alpha^s by both the exp/log route and the binomial series.
 
@@ -125,33 +144,17 @@ def psi_eval(alpha: PadicElt, s) -> PadicElt:
     carries that cap.  alpha must lie in 1 + pZ_p and s in Z_p.
     """
     params = alpha.params
-    _require_angle(alpha)
+    z, t = _angle_offset(alpha)
     s = _as_zp(params, s)
 
-    la = plog(alpha)
-    exp_path = pexp(s * la)
-
-    z = alpha - PadicElt.one(params, alpha.cap)
-    t = z.valpi()
-    if t is None:
-        bin_path = PadicElt.one(params, z.cap)
-    else:
-        n_terms = params.prec_pi // t + 1
-        bc = binom_coeffs(s, n_terms)
-        acc = PadicElt.one(params)
-        zpow = PadicElt.one(params)
-        for n in range(1, n_terms + 1):
-            zpow = zpow * z
-            acc = acc + bc[n] * zpow
-        bin_path = acc
-
+    exp_path = pexp(s * plog(alpha))
+    bin_path = _binomial_route(alpha, z, t, s)
     if not exp_path.same_at_cap(bin_path):
         raise PrecisionExhausted(
             "exp/log and binomial evaluations of alpha^s disagree at cap"
         )
     out = exp_path.reduce_cap(min(exp_path.cap, bin_path.cap))
-    one = PadicElt.one(params, out.cap)
-    if (out - one).is_unit():
+    if (out.digits[0] - 1) % params.p:    # out - 1 is a unit
         raise PrecisionExhausted("alpha^s drifted outside 1 + pZ_p")
     return out
 

@@ -23,7 +23,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import (
-    DivisionByNonUnit,
     DomainError,
     InexactDivision,
     MalformedFile,
@@ -173,13 +172,7 @@ def _det_is_unit_times_qpow(w: WachData) -> bool:
         return False
     if not r.is_zero_at_cap():
         return False
-    if not u.eval0().is_unit():
-        return False
-    try:  # residual structure: adj(P) * u^(-1) must live in the integral ring
-        w.P.adj().scale_series(u.invert().reduce_nx(w.nx))
-    except DivisionByNonUnit:
-        return False
-    return True
+    return u.eval0().is_unit()
 
 
 # --------------------------------------------------------------------------- #

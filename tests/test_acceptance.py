@@ -19,7 +19,6 @@ from wachdeform.errors import SeedSingular
 from wachdeform.padics import (
     PadicElt,
     PadicParams,
-    QpMultChar,
     ScaledElt,
     val_or_cap,
 )
@@ -37,6 +36,8 @@ from wachdeform.trianguline import (
     weight_step,
 )
 from wachdeform.wach import check_axioms, seed_companion
+
+from qp_characters import QpMultChar
 
 
 def _vp_int(n: int, p: int) -> int:

@@ -6,13 +6,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wachdeform.errors import (
     DivisionByNonUnit,
     DomainError,
     HenselCriterionFails,
+    InexactDivision,
     OutOfConvergenceDomain,
     ParamMismatch,
+    PrecisionExhausted,
     RamifiedUnsupported,
     SlopesNotDistinct,
     ZeroInput,
@@ -20,8 +24,8 @@ from wachdeform.errors import (
 from wachdeform.padics import (
     PadicElt,
     PadicParams,
-    QpMultChar,
     ScaledElt,
+    _ppow,
     binom_coeffs,
     hensel_root,
     newton_slopes,
@@ -31,6 +35,8 @@ from wachdeform.padics import (
     val,
     vp,
 )
+
+from qp_characters import QpMultChar
 
 P3 = PadicParams(3, 1, 20)
 P5 = PadicParams(5, 1, 12)
@@ -406,3 +412,168 @@ def test_character_rejects_zero():
     mu = QpMultChar("mu", z=ScaledElt.from_rational(P3, 2))
     with pytest.raises(ZeroInput):
         mu.evaluate(fi(P3, 0, 5))
+
+
+# --------------------------------------------------------------------------
+# the integer kernel against element-by-element reference loops
+# --------------------------------------------------------------------------
+# The references below are teichmuller_decompose, plog, pexp and binom_coeffs
+# written over PadicElt and ScaledElt, one element operation at a time.  The
+# kernel must return the same digits and cap, or raise the same exception
+# class, on mixed caps, at e = 1 and e = 2, inside and outside the domains.
+
+def ref_teichmuller_decompose(x):
+    if x.params.e != 1:
+        raise RamifiedUnsupported("Teichmueller lift needs e = 1")
+    v = x.valpi()
+    if v is None:
+        raise ZeroInput("cannot decompose zero at cap")
+    u = x.pi_div_exact(v)
+    w = u
+    for _ in range(u.cap + 2):
+        w_next = w ** x.params.p
+        if w_next == w:
+            break
+        w = w_next
+    else:
+        raise PrecisionExhausted("Teichmueller iteration did not stabilize")
+    angle = u.div_unit(w)
+    if (angle - PadicElt.one(x.params, angle.cap)).is_unit():
+        raise DomainError("angle component not in 1 + pZ_p")
+    return v, w, angle
+
+
+def _ilog(n, p):
+    r = 0
+    while n >= p:
+        n //= p
+        r += 1
+    return r
+
+
+def ref_plog(x):
+    params = x.params
+    z = x - PadicElt.one(params, x.cap)
+    if z.is_zero_at_cap():
+        return PadicElt.zero(params, z.cap)
+    t = z.valpi()
+    if t < 1:
+        raise OutOfConvergenceDomain("v(x-1) < 1/e")
+    e, p = params.e, params.p
+    target = min(z.cap, params.prec_pi)
+    u = z.pi_div_exact(t)
+    acc = PadicElt.zero(params, target)
+    un = PadicElt.one(params, u.cap)
+    n = 1
+    while True:
+        if n >= e and n * t - e * (_ilog(n, p) + 1) >= target:
+            break
+        un = un * u
+        vn = vp(n, p)
+        if n * t - e * vn < 1:
+            raise OutOfConvergenceDomain("series leaves the integral ring")
+        mant = un.div_unit(PadicElt.from_int(params, n // _ppow(p, vn)))
+        if n % 2 == 0:
+            mant = -mant
+        acc = acc + mant.pi_mul(n * t - e * vn)
+        n += 1
+    return acc.reduce_cap(target)
+
+
+def ref_pexp(y):
+    params = y.params
+    e, p = params.e, params.p
+    if y.is_zero_at_cap():
+        return PadicElt.one(params, y.cap)
+    t = y.valpi()
+    if t * (p - 1) <= e:
+        raise OutOfConvergenceDomain("exp diverges")
+    target = min(y.cap, params.prec_pi)
+    u = y.pi_div_exact(t)
+    fact_mod = _ppow(p, -(-params.prec_pi // e) + 1)
+    acc = PadicElt.one(params, target)
+    un = PadicElt.one(params, u.cap)
+    fact_unit, vpf = 1, 0
+    n = 1
+    while True:
+        if n * (t * (p - 1) - e) + e >= target * (p - 1):
+            break
+        un = un * u
+        vn = vp(n, p)
+        vpf += vn
+        fact_unit = fact_unit * (n // _ppow(p, vn)) % fact_mod
+        mant = un.div_unit(PadicElt.from_int(params, fact_unit))
+        acc = acc + mant.pi_mul(n * t - e * vpf)
+        n += 1
+    return acc.reduce_cap(target)
+
+
+def ref_div_int(cur, n):
+    """cur / n for a nonzero integer n, carrying the p-power in the exponent."""
+    params = cur.params
+    v = vp(n, params.p)
+    u = PadicElt.from_int(params, n // params.p ** v)
+    return ScaledElt(cur.mantissa.div_unit(u), cur.exp - params.e * v)
+
+
+def ref_binom_coeffs(s, n_max):
+    params = s.params
+    out = [PadicElt.one(params)]
+    cur = ScaledElt(PadicElt.one(params))
+    for n in range(1, n_max + 1):
+        cur = ref_div_int(cur.mul(s - PadicElt.from_int(params, n - 1)), n)
+        if not cur.is_zero_at_floor() and cur.exp < 0:
+            raise InexactDivision(f"C(s,{n}) not integral")
+        out.append(cur.to_padic())
+    return out
+
+
+def outcome(fn, *args):
+    """Digits and cap of every element returned, or the exception class raised."""
+    try:
+        got = fn(*args)
+    except Exception as exc:    # the class is the outcome compared
+        return type(exc)
+    items = got if isinstance(got, (list, tuple)) else [got]
+    return [(x.digits, x.cap) if isinstance(x, PadicElt) else x for x in items]
+
+
+KERNEL_RINGS = [PadicParams(3, 1, 12), PadicParams(5, 1, 8), PadicParams(3, 2, 12),
+                PadicParams(5, 2, 9)]
+
+
+@st.composite
+def ring_elt(draw, params, v_max=4):
+    """pi^v * u with u any digits (a unit or not), at a cap from 1 to prec_pi."""
+    cap = draw(st.integers(1, params.prec_pi))
+    v = draw(st.integers(0, v_max))
+    bound = params.p ** params.prec_pi
+    u = draw(st.lists(st.integers(-bound, bound), min_size=params.e, max_size=params.e))
+    return PadicElt(params, u, params.prec_pi).pi_mul(v).reduce_cap(cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_log_exp_kernel_matches_reference(data):
+    params = data.draw(st.sampled_from(KERNEL_RINGS))
+    x = data.draw(ring_elt(params))
+    one_plus = PadicElt.one(params, x.cap) + x
+    assert outcome(plog, one_plus) == outcome(ref_plog, one_plus)
+    assert outcome(pexp, x) == outcome(ref_pexp, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_binom_kernel_matches_reference(data):
+    params = data.draw(st.sampled_from(KERNEL_RINGS))
+    s = data.draw(ring_elt(params, v_max=2))
+    n_max = data.draw(st.integers(0, 14))
+    assert outcome(binom_coeffs, s, n_max) == outcome(ref_binom_coeffs, s, n_max)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_teichmuller_kernel_matches_reference(data):
+    params = data.draw(st.sampled_from(KERNEL_RINGS))
+    x = data.draw(ring_elt(params, v_max=3))
+    assert outcome(teichmuller_decompose, x) == outcome(ref_teichmuller_decompose, x)

@@ -4,17 +4,30 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wachdeform.errors import (
     DomainError,
     NonpositiveValuation,
     NormViolation,
     PreconditionFails,
+    PrecisionExhausted,
     ZeroInput,
 )
-from wachdeform.padics import PadicElt, PadicParams, QpMultChar, ScaledElt, plog, val
+from wachdeform.padics import (
+    PadicElt,
+    PadicParams,
+    ScaledElt,
+    binom_coeffs,
+    pexp,
+    plog,
+    val,
+)
 from wachdeform.trianguline import (
     PsiMap,
+    _angle_offset,
+    _binomial_route,
     TriCharacter,
     char_eval,
     coeff_bound_check,
@@ -26,6 +39,8 @@ from wachdeform.trianguline import (
     weight_step,
 )
 from wachdeform.wach import seed_ap_zero, seed_companion
+
+from qp_characters import QpMultChar
 
 P3 = PadicParams(3, 1, 20)
 
@@ -115,6 +130,112 @@ def test_coeff_bound_check_ramified():
     rep = coeff_bound_check(elt(4, PadicParams(3, 2, 12)), 40)
     assert rep.ok
     assert rep.alpha_digits == (4, 0)
+
+
+# --------------------------------------------------------------------------- #
+# psi on the integer kernel against element-by-element references
+# --------------------------------------------------------------------------- #
+# ref_psi_eval is psi_eval with its angle check and binomial sum written over
+# PadicElt, one element operation at a time; ref_psi_map_coeffs is the
+# ScaledElt running product behind PsiMap.build.  Digits, cap and exception
+# class must agree on mixed caps, at e = 1 and e = 2, in and out of domain.
+
+def ref_require_angle(alpha):
+    z = alpha - PadicElt.one(alpha.params, alpha.cap)
+    v = z.valpi()
+    if v is not None and v < alpha.params.e:
+        raise DomainError("argument not in 1 + pZ_p")
+
+
+def ref_binomial_route(alpha, s):
+    params = alpha.params
+    z = alpha - PadicElt.one(params, alpha.cap)
+    t = z.valpi()
+    if t is None:
+        return PadicElt.one(params, z.cap)
+    n_terms = params.prec_pi // t + 1
+    bc = binom_coeffs(s, n_terms)
+    acc = PadicElt.one(params)
+    zpow = PadicElt.one(params)
+    for n in range(1, n_terms + 1):
+        zpow = zpow * z
+        acc = acc + bc[n] * zpow
+    return acc
+
+
+def ref_psi_eval(alpha, s):
+    params = alpha.params
+    ref_require_angle(alpha)
+    exp_path = pexp(s * plog(alpha))
+    bin_path = ref_binomial_route(alpha, s)
+    if not exp_path.same_at_cap(bin_path):
+        raise PrecisionExhausted("exp/log and binomial evaluations disagree at cap")
+    out = exp_path.reduce_cap(min(exp_path.cap, bin_path.cap))
+    if (out - PadicElt.one(params, out.cap)).is_unit():
+        raise PrecisionExhausted("alpha^s drifted outside 1 + pZ_p")
+    return out
+
+
+def ref_psi_map_coeffs(alpha, n_max):
+    params = alpha.params
+    ref_require_angle(alpha)
+    la = plog(alpha)
+    coeffs = [PadicElt.one(params)]
+    cur = ScaledElt(PadicElt.one(params))
+    for n in range(1, n_max + 1):
+        cur = cur.mul(ScaledElt(la)).div(ScaledElt.from_rational(params, n))
+        if not cur.is_zero_at_floor() and cur.exp < 0:
+            raise NormViolation(f"|c_{n}| > 1")
+        coeffs.append(cur.to_padic())
+    return coeffs
+
+
+def outcome(fn, *args):
+    """Digits and cap of the result(s), or the exception class raised."""
+    try:
+        got = fn(*args)
+    except Exception as exc:    # the class is the outcome compared
+        return type(exc)
+    return [(x.digits, x.cap) for x in (got if isinstance(got, (list, tuple)) else [got])]
+
+
+PSI_RINGS = [PadicParams(3, 1, 12), PadicParams(5, 1, 8), PadicParams(3, 2, 12)]
+
+
+@st.composite
+def psi_inputs(draw):
+    """alpha = 1 + pi^v u with v(alpha - 1) from 0 to 3 (alpha = 1 at cap among them),
+    s in Z_p (or, at e = 2, any element) at a low or full cap."""
+    params = draw(st.sampled_from(PSI_RINGS))
+    e, p, prec = params.e, params.p, params.prec_pi
+    caps = st.one_of(st.just(prec), st.integers(1, prec))
+    v = draw(st.integers(0, 3 * e))
+    u = draw(st.lists(st.integers(0, p ** prec), min_size=e, max_size=e))
+    alpha = (PadicElt.one(params) + PadicElt(params, u, prec).pi_mul(v)).reduce_cap(draw(caps))
+    s_digits = [draw(st.integers(-p ** prec, p ** prec))] + [
+        draw(st.sampled_from([0, 1, p])) for _ in range(e - 1)]
+    return alpha, PadicElt(params, s_digits, draw(caps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(psi_inputs())
+def test_psi_kernel_matches_reference(inputs):
+    alpha, s = inputs
+    assert outcome(psi_eval, alpha, s) == outcome(ref_psi_eval, alpha, s)
+    # the binomial route on its own: its cap rarely binds in psi_eval's result
+    try:
+        z, t = _angle_offset(alpha)
+    except DomainError:
+        return
+    assert outcome(_binomial_route, alpha, z, t, s) == outcome(ref_binomial_route, alpha, s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(psi_inputs(), st.integers(0, 30))
+def test_psi_map_coeffs_match_reference(inputs, n_max):
+    alpha = inputs[0]
+    built = outcome(lambda: PsiMap.build(alpha, n_max).coeffs)
+    assert built == outcome(ref_psi_map_coeffs, alpha, n_max)
 
 
 # --------------------------------------------------------------------------- #
