@@ -12,7 +12,9 @@ argument leans on:
   3. ``extend_h`` grows H0 to a polynomial H of degree < k with
      H G = G gamma(H) mod x^k.
   4. ``correct_gamma`` repairs the Gamma-matrix so that (P', G') with
-     P' = (Id + H) P satisfies the commutation relation to full x-precision.
+     P' = (Id + H) P satisfies the commutation relation to full x-precision,
+     through the order-by-order solver ``wach._solve_orders`` that also
+     builds the seed.
 
 Every division is exact with tracked caps; when a theoretical valuation floor
 cannot be certified at the working precision the pipeline aborts rather than
@@ -37,8 +39,8 @@ from .errors import (
     ValuationFloorUnreachable,
 )
 from .padics import PadicElt, hensel_root, val_or_cap, vp
-from .series import Mat2, MatrixSeries, cyclotomic_q, mat_frobenius, mat_gamma
-from .wach import WachData, check_axioms
+from .series import Mat2, MatrixSeries, mat_frobenius, mat_gamma
+from .wach import WachData, _solve_orders, check_axioms
 
 __all__ = [
     "AlphaTable",
@@ -386,83 +388,35 @@ def correct_gamma(
     g: MatrixSeries,
     k: int,
     chi_gamma: int,
-    m: Fraction,
-    nx: int | None = None,
 ) -> tuple[MatrixSeries, tuple[tuple[int, Fraction], ...]]:
     """Repair G order by order so that (P', G') commute to full x-precision.
 
     Carries the defect D = P' phi(G') - G' gamma(P'), which lives in the
-    integral ring (no series inversion anywhere); zeroing its x^j coefficient
-    is the constant Sylvester problem S P0 - p^j P0 S = D[x^j], solved through
-    the contraction S = R0 + p^{j-k+1} P0 S adj(P0) with
+    integral ring (no series inversion anywhere) and must vanish below x^k;
+    zeroing its x^j coefficient, j >= k, is the constant Sylvester problem
+    S P0 - p^j P0 S = D[x^j], solved by the seed's loop `wach._solve_orders`
+    through the contraction S = R0 + p^{j-k+1} P0 S adj(P0) with
     R0 = D[x^j] adj(P0) / p^{k-1}.  Returns the corrected matrix and the log
     of (order, v(S_j)) for the certificate.
     """
-    params = pp.params
-    if nx is None:
-        nx = pp.nx
-    elif nx > pp.nx:
-        raise DomainError(f"cannot extend x-precision {pp.nx} to {nx}")
-    else:
-        pp = pp.reduce_nx(nx)
-        g = g.reduce_nx(nx)
-    p0 = pp.eval0()
-    adj0 = p0.adj()
     gamma_pp = mat_gamma(pp, chi_gamma)
-    q = cyclotomic_q(params, nx)
-
     defect = pp * mat_frobenius(g) - g * gamma_pp
-    for j in range(min(k, nx)):
+    for j in range(min(k, pp.nx)):
         if not defect.coeff(j).is_zero_at_cap():
             raise DefectNotDivisible(
                 f"defect has a nonzero x^{j} term below x^{k}"
             )
-
-    gp = g
-    log: list[tuple[int, Fraction]] = []
-    qpow = q ** k
-    max_sweeps = params.prec_pi + 2
-    for j in range(k, nx):
-        cj = defect.coeff(j)
-        if cj.is_zero_at_cap():
-            log.append((j, Fraction(cj.min_cap(), params.e)))
-            qpow = qpow * q
-            continue
-        try:
-            r0 = Mat2(
-                *(x.pi_div_exact(params.e * (k - 1)) for x in (cj * adj0).entries())
-            )
-        except InexactDivision as exc:
-            raise NeumannDivergence(
-                f"order {j}: defect coefficient not divisible by p^{k - 1} "
-                f"(det condition violated): {exc}"
-            )
-        scale = PadicElt.from_int(params, params.p ** (j - k + 1))
-        s = r0
-        for _ in range(max_sweeps):
-            s_next = r0 + (p0 * s * adj0).scale(scale)
-            if s_next.same_at_cap(s):
-                s = s_next
-                break
-            s = s_next
-        else:
-            raise NeumannDivergence(
-                f"order {j}: affine iteration did not stabilize in "
-                f"{max_sweeps} sweeps"
-            )
-        log.append((j, Fraction(s.min_val_or_cap(), params.e)))
-        gp = gp + MatrixSeries.from_mats(params, [s], nx).shift_up(j)
-        # defect update for G -> G + x^j S:  D += x^j Q^j (P' S) - x^j (S gamma(P'));
-        # after the shift by x^j only x-orders below nx - j of the factors count
-        bump = pp.reduce_nx(nx - j).right_mul_mat(s).scale_series(qpow).shift_up(j)
-        drop = gamma_pp.reduce_nx(nx - j).left_mul_mat(s).shift_up(j)
-        defect = defect + bump - drop
-        if not defect.coeff(j).is_zero_at_cap():
-            raise PrecisionExhausted(f"order {j}: correction failed to close")
-        qpow = qpow * q
-    if not defect.is_zero_at_cap():
-        raise PrecisionExhausted("corrected pair still has visible defect")
-    return gp, tuple(log)
+    return _solve_orders(
+        pp, gamma_pp, g, defect, k, k,
+        solve_low=None,
+        not_divisible=lambda j, exc: NeumannDivergence(
+            f"order {j}: defect coefficient not divisible by p^{k - 1} "
+            f"(det condition violated): {exc}"
+        ),
+        diverged=lambda j, sweeps: NeumannDivergence(
+            f"order {j}: affine iteration did not stabilize in {sweeps} sweeps"
+        ),
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -582,7 +536,7 @@ def deform_trace(
     h0 = build_h0(w.P.eval0(), eps, floor)
     h = extend_h(h0, w.G, k, m, table)
     pp = w.P + h * w.P
-    gp, log = correct_gamma(pp, w.G, k, chi, m)
+    gp, log = correct_gamma(pp, w.G, k, chi)
 
     wp = WachData(params=params, k=k, a_p=ap_new, chi_gamma=chi, P=pp, G=gp)
     report_p = check_axioms(wp)

@@ -109,14 +109,17 @@ class PsiMap:
         )
         return cls(alpha=alpha, log_alpha=la, coeffs=tuple(coeffs))
 
-    def eval_at(self, s: PadicElt) -> PadicElt:
-        acc = PadicElt.zero(s.params)
-        spow = PadicElt.one(s.params)
+    def terms_at(self, s: PadicElt) -> list[PadicElt]:
+        """The terms c_n s^n, n = 0..n_max - 1."""
+        terms, spow = [], PadicElt.one(s.params)
         for n, c in enumerate(self.coeffs):
             if n:
                 spow = spow * s
-            acc = acc + c * spow
-        return acc
+            terms.append(c * spow)
+        return terms
+
+    def eval_at(self, s: PadicElt) -> PadicElt:
+        return sum(self.terms_at(s), PadicElt.zero(s.params))
 
 
 def _binomial_route(alpha: PadicElt, z: list[int], t: int | None, s: PadicElt) -> PadicElt:
@@ -195,12 +198,9 @@ def coeff_bound_check(
     gouvea_ok = True
     for _ in range(samples):
         s = PadicElt.from_int(params, rng.randrange(params.p ** (params.prec_pi // params.e)))
-        g_val = val(psi.eval_at(s)) or Fraction(0)
-        spow = PadicElt.one(params)
-        for n, c in enumerate(psi.coeffs):
-            if n:
-                spow = spow * s
-            term = c * spow
+        terms = psi.terms_at(s)
+        g_val = val(sum(terms, PadicElt.zero(params))) or Fraction(0)
+        for term in terms:
             tv = term.valpi()
             if tv is not None and Fraction(tv, params.e) < g_val:
                 gouvea_ok = False

@@ -9,10 +9,12 @@ subject to
     P phi(G) = G gamma(P)        (checked to (x^nx, caps)),
     charpoly of P(0) = T^2 - a_p T + p^(k-1).
 
-`seed_companion` builds (P, G) for the companion-form P order by order; the
-order-j unknown satisfies a Sylvester-type equation G_j P(0) - p^j P(0) G_j =
-C_j which is solved by a contraction for j >= k and by direct elimination
-below that, with no fallback when the low-order system is singular.
+`seed_companion` builds (P, G) for the companion-form P order by order in
+`_solve_orders`, the one solver of P phi(G) = G gamma(P), which
+`deform.correct_gamma` shares: the order-j unknown satisfies a Sylvester-type
+equation G_j P(0) - p^j P(0) G_j = C_j, solved by the contraction `_contract`
+for j >= k and, in the seed, by direct elimination below that, with no
+fallback when the low-order system is singular.
 """
 from __future__ import annotations
 
@@ -47,7 +49,6 @@ __all__ = [
     "AxiomReport",
     "check_axioms",
     "seed_companion",
-    "seed_ap_zero",
     "default_nx",
     "save_wach",
     "load_wach",
@@ -247,26 +248,78 @@ def _solve_order_low(
     return Mat2(s11, s12, s21, s22)
 
 
-def _solve_order_high(
-    params: PadicParams, k: int, p0: Mat2, j: int, c: Mat2
+def _contract(
+    p0: Mat2, adj0: Mat2, c: Mat2, k: int, j: int, not_divisible, diverged
 ) -> Mat2:
-    """Solve S P0 - p^j P0 S = C by contraction, valid once p^j/p^(k-1) < 1."""
-    q_elt = PadicElt.from_int(params, params.p ** (k - 1))
-    adj = p0.adj()
+    """Solve S P0 - p^j P0 S = C for j >= k by the contraction
+    S = R0 + p^(j-k+1) P0 S adj(P0), R0 = C adj(P0) / p^(k-1)."""
+    params = p0.a.params
     try:
-        base = Mat2(*( (x).divide_exact(q_elt) for x in (c * adj).entries() ))
+        r0 = Mat2(*(x.pi_div_exact(params.e * (k - 1)) for x in (c * adj0).entries()))
     except InexactDivision as exc:
-        raise SeedSingular(j, f"order {j}: C adj(P0) not divisible by p^(k-1)") from exc
-    scale = params.p ** (j - k + 1)
-    s = base
-    for _ in range(params.prec_pi + 2):
-        s_next = base + ((p0 * s) * adj).scale(PadicElt.from_int(params, scale))
+        raise not_divisible(j, exc) from exc
+    scale = PadicElt.from_int(params, params.p ** (j - k + 1))
+    sweeps = params.prec_pi + 2
+    s = r0
+    for _ in range(sweeps):
+        s_next = r0 + (p0 * s * adj0).scale(scale)
         if s_next == s:
-            break
+            return s
         s = s_next
-    else:
-        raise PrecisionExhausted(f"contraction failed to stabilize at order {j}")
-    return s
+    raise diverged(j, sweeps)
+
+
+def _solve_orders(
+    P: MatrixSeries,
+    gamma_p: MatrixSeries,
+    G: MatrixSeries,
+    defect: MatrixSeries,
+    k: int,
+    start: int,
+    solve_low,
+    not_divisible,
+    diverged,
+) -> tuple[MatrixSeries, tuple[tuple[int, Fraction], ...]]:
+    """Add x^j S_j to G, j = start..nx-1, until P phi(G) = G gamma(P) mod x^nx.
+
+    ``defect`` is D = P phi(G) - G gamma(P), zero below x^start.  Zeroing its
+    x^j coefficient is the constant Sylvester problem S P0 - p^j P0 S = D[x^j]:
+    ``solve_low(j, D[x^j])`` below x^k, ``_contract`` from x^k on, whose two
+    failures are raised as ``not_divisible(j, exc)`` and ``diverged(j, sweeps)``.
+    A coefficient already zero at its cap is skipped.  Returns the corrected G
+    and the log of (order, v(S_j)), or (order, cap of D[x^j]) when skipped.
+    """
+    params, nx = P.params, P.nx
+    p0 = P.eval0()
+    adj0 = p0.adj()
+    q = cyclotomic_q(params, nx)
+    pq = P
+    mats = [Mat2.zero(params)] * nx
+    log: list[tuple[int, Fraction]] = []
+    for j in range(1, nx):
+        # P Q^j; after the shift by x^j only x-orders below nx - j count
+        pq = pq.reduce_nx(nx - j).scale_series(q)
+        if j < start:
+            continue
+        c = defect.coeff(j)
+        if c.is_zero_at_cap():
+            log.append((j, Fraction(c.min_cap(), params.e)))
+            continue
+        if j < k:
+            s = solve_low(j, c)
+        else:
+            s = _contract(p0, adj0, c, k, j, not_divisible, diverged)
+        log.append((j, Fraction(s.min_val_or_cap(), params.e)))
+        mats[j] = s
+        # G -> G + x^j S moves D by x^j (P Q^j S - S gamma(P))
+        defect = defect + (
+            pq.right_mul_mat(s) - gamma_p.reduce_nx(nx - j).left_mul_mat(s)
+        ).shift_up(j)
+        if not defect.coeff(j).is_zero_at_cap():
+            raise PrecisionExhausted(f"order {j}: correction failed to close")
+    if not defect.is_zero_at_cap():
+        raise PrecisionExhausted("corrected pair still has visible defect")
+    return G + MatrixSeries.from_mats(params, mats, nx), tuple(log)
 
 
 def seed_companion(
@@ -285,33 +338,17 @@ def seed_companion(
     """
     nx = default_nx(params.p, k) if nx is None else nx
     P = _companion_p(params, k, a_p, nx)
-    p0 = P.eval0()
-    q_series = cyclotomic_q(params, nx)
     gamma_p = mat_gamma(P, chi_gamma)
-
-    # P * Q^n, coefficients reused across all orders; only x-orders below
-    # nx - n of pq[n] are ever read
-    pq: list[MatrixSeries] = [P]
-    for n in range(1, nx):
-        pq.append(pq[-1].reduce_nx(nx - n).scale_series(q_series))
-
-    # acc = sum over solved orders n of x^n (P Q^n G_n - G_n gamma(P)); its x^j
-    # coefficient is the right-hand side C_j of the order-j equation
-    mats: list[Mat2] = [Mat2.identity(params)]
-    acc = MatrixSeries.zero(params, nx)
-    for j in range(1, nx):
-        g = mats[j - 1]
-        acc = acc + (
-            pq[j - 1].right_mul_mat(g) - gamma_p.reduce_nx(nx - j + 1).left_mul_mat(g)
-        ).shift_up(j - 1)
-        c = acc.coeff(j)
-        if j >= k:
-            s = _solve_order_high(params, k, p0, j, c)
-        else:
-            s = _solve_order_low(params, k, a_p, j, c)
-        mats.append(s)
-
-    G = MatrixSeries.from_mats(params, mats, nx)
+    G, _ = _solve_orders(
+        P, gamma_p, MatrixSeries.identity(params, nx), P - gamma_p, k, 1,
+        solve_low=lambda j, c: _solve_order_low(params, k, a_p, j, c),
+        not_divisible=lambda j, exc: SeedSingular(
+            j, f"order {j}: C adj(P0) not divisible by p^(k-1)"
+        ),
+        diverged=lambda j, sweeps: PrecisionExhausted(
+            f"contraction failed to stabilize at order {j}"
+        ),
+    )
     w = WachData(params=params, k=k, a_p=a_p, chi_gamma=chi_gamma, P=P, G=G)
     report = check_axioms(w)
     if not report.ok:
@@ -320,13 +357,6 @@ def seed_companion(
             f"(defect {report.commutation_defect_val} < cap {report.commutation_defect_cap})"
         )
     return w
-
-
-def seed_ap_zero(
-    params: PadicParams, k: int, chi_gamma: int, nx: int | None = None
-) -> WachData:
-    """The a_p = 0 module (supersingular-extreme seed)."""
-    return seed_companion(params, k, PadicElt.zero(params), chi_gamma, nx)
 
 
 # --------------------------------------------------------------------------- #

@@ -11,7 +11,7 @@ from wachdeform.cli import main
 from wachdeform.deform import alpha, deform_trace, deformation_bound
 from wachdeform.errors import BoundViolated
 from wachdeform.padics import PadicElt, PadicParams, vp
-from wachdeform.wach import seed_ap_zero, seed_companion
+from wachdeform.wach import seed_companion
 
 
 def run(*argv, capsys=None):
@@ -192,7 +192,7 @@ def test_deform_ap_zero_admits_only_identity():
     assert main(_deform_argv(0, 9, *UNDER_FLOOR)) == 2
 
     params = PadicParams(3, 1, 24)
-    w = seed_ap_zero(params, 2, 2, 16)
+    w = seed_companion(params, 2, PadicElt.zero(params), 2, 16)
     _, cert = deform_trace(w, w.a_p, 1)
     assert cert.ok and cert.bound_required == deformation_bound(0, 0, Fraction(1))
     with pytest.raises(BoundViolated):

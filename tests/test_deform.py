@@ -290,7 +290,7 @@ def test_extend_h_randomized_floors_and_congruence():
 
 def test_correct_gamma_zero_defect_is_identity_map():
     w = seed_k2()
-    gp, log = correct_gamma(w.P, w.G, 2, 2, Fraction(1))
+    gp, log = correct_gamma(w.P, w.G, 2, 2)
     assert gp.same_at_cap(w.G)
     assert all(j >= 2 for j, _ in log)
 
@@ -299,17 +299,35 @@ def test_correct_gamma_single_step_removes_planted_defect():
     w = seed_k2()
     t = mat(3, 6, 0, 3)
     g_bad = w.G + _const_series(t, w.G.nx).shift_up(2)
-    gp, log = correct_gamma(w.P, g_bad, 2, 2, Fraction(1))
+    gp, log = correct_gamma(w.P, g_bad, 2, 2)
     # the unique order-2 correction is exactly -T, restoring the original G
     assert gp.same_at_cap(w.G)
     assert log[0][0] == 2 and log[0][1] == 1
+
+
+@pytest.mark.parametrize("p, e, k, a_p, prec", [
+    (3, 1, 5, 0, 30),
+    (5, 1, 6, 0, 30),
+    (3, 2, 2, 3, 40),
+])
+def test_correct_gamma_rebuilds_seed_above_weight(p, e, k, a_p, prec):
+    # the seed's G cut below x^k has its defect at x^k and above only; the
+    # correction must grow it back into the seed's G (k >= 3 and e = 2 reach
+    # orders and contractions the k = 2 tests above do not)
+    params = PadicParams(p, e, prec)
+    chi = default_chi(p)
+    w = seed_companion(params, k, PadicElt.from_int(params, a_p), chi)
+    g_low = MatrixSeries.from_mats(params, [w.G.coeff(j) for j in range(k)], w.nx)
+    gp, log = correct_gamma(w.P, g_low, k, chi)
+    assert gp.same_at_cap(w.G)
+    assert [j for j, _ in log] == list(range(k, w.nx))
 
 
 def test_correct_gamma_rejects_low_order_defect():
     w = seed_k2()
     g_bad = w.G + _const_series(mat(3, 0, 0, 3), w.G.nx).shift_up(1)
     with pytest.raises(DefectNotDivisible):
-        correct_gamma(w.P, g_bad, 2, 2, Fraction(1))
+        correct_gamma(w.P, g_bad, 2, 2)
 
 
 # --------------------------------------------------------------------------- #

@@ -38,7 +38,7 @@ from wachdeform.trianguline import (
     sample_ball_pairs,
     weight_step,
 )
-from wachdeform.wach import seed_ap_zero, seed_companion
+from wachdeform.wach import seed_companion
 
 from qp_characters import QpMultChar
 
@@ -340,7 +340,7 @@ def test_weight_step_refused_below_star():
 
 def test_weight_step_rejects_ap_zero():
     params = PadicParams(3, 1, 24)
-    w = seed_ap_zero(params, k=3, chi_gamma=2, nx=12)
+    w = seed_companion(params, k=3, a_p=PadicElt.zero(params), chi_gamma=2, nx=12)
     with pytest.raises(ZeroInput):
         weight_step(w, 1)
 

@@ -21,7 +21,6 @@ from wachdeform.wach import (
     default_nx,
     load_wach,
     save_wach,
-    seed_ap_zero,
     seed_companion,
 )
 
@@ -95,7 +94,7 @@ def test_seed_deterministic():
 
 def test_seed_ap_zero_weight3():
     params = PadicParams(3, 1, 24)
-    w = seed_ap_zero(params, 3, CHI, 16)
+    w = seed_companion(params, 3, PadicElt.zero(params), CHI, 16)
     assert check_axioms(w).ok
     p0 = w.P.eval0()
     assert p0.trace().is_zero_at_cap()
