@@ -23,7 +23,6 @@ import json
 import math
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -229,8 +228,13 @@ def cmd_scan(args) -> int:
     p, e, m = args.p, args.e, args.m
     chi = args.chi_gamma or default_chi(p)
     lo, sep, hi = args.k_range.partition(":")
-    k_lo, k_hi = int(lo), int(hi if sep else lo)
-    ap_list = [Fraction(s) for s in args.ap_list.split(",") if s.strip()]
+    try:
+        k_lo, k_hi = int(lo), int(hi if sep else lo)
+        ap_list = [Fraction(s) for s in args.ap_list.split(",") if s.strip()]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise MalformedFile(
+            f"scan needs --k-range A:B of integers and --ap-list of rationals: {exc}"
+        ) from exc
     if not ap_list or k_lo < 2 or k_hi < k_lo:
         raise MalformedFile("scan needs --k-range A:B with A >= 2 and a nonempty --ap-list")
 
@@ -252,6 +256,8 @@ def cmd_scan(args) -> int:
     _write_json(outdir / "plan.json", plan)
 
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor   # only this path pays for it
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_scan_point, payloads))
     else:

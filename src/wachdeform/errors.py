@@ -47,13 +47,6 @@ class InexactDivision(WachdeformError):
     bug or a genuinely non-integral quantity."""
 
 
-# --- series -----------------------------------------------------------------
-
-class NonInvertibleDeterminant(WachdeformError):
-    """Matrix over the series ring has non-unit determinant where an inverse
-    is required."""
-
-
 # --- module construction / verification -------------------------------------
 
 class SeedSingular(WachdeformError):

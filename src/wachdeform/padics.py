@@ -293,11 +293,9 @@ class PadicElt:
             return self.pi_mul(-t)
         if t == 0:
             return self
-        if self.cap - t < 1:
-            raise PrecisionExhausted(f"cap {self.cap} cannot absorb pi^{t} division")
-        if self.valpi_or_cap() < t:
-            raise InexactDivision("pi does not divide element")
-        return PadicElt(self.params, _pi_unshift(self.params, self.digits, t), self.cap - t)
+        return PadicElt(
+            self.params, _pi_div_digits(self.params, self.digits, self.cap, t), self.cap - t
+        )
 
     def divide_exact(self, other: "PadicElt") -> "PadicElt":
         """x / y when y | x in O_E; sharp zealous precision.
@@ -512,6 +510,20 @@ def _pi_unshift(params: PadicParams, ds, t: int) -> list[int]:
     q, r = divmod(t, params.e)
     pq = _ppow(params.p, q)
     return [d // pq for d in ds[r:]] + [d // (pq * params.p) for d in ds[:r]]
+
+
+def _pi_div_digits(params: PadicParams, ds, cap: int, t: int) -> list[int]:
+    """Digits of x / pi^t, t >= 1, for canonical digits x known at cap.
+
+    InexactDivision when v(x) < t for a nonzero x, else PrecisionExhausted
+    when the quotient would keep no digit (cap <= t).
+    """
+    v = _valpi_or_cap(params, ds, cap)
+    if v < t and v < cap:
+        raise InexactDivision("pi does not divide element")
+    if cap - t < 1:
+        raise PrecisionExhausted(f"cap {cap} cannot absorb pi^{t} division")
+    return _pi_unshift(params, ds, t)
 
 
 def _running_quotients(params: PadicParams, factors, fail) -> list[PadicElt]:

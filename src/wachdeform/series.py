@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 
 from .errors import (
     DomainError,
-    NonInvertibleDeterminant,
     ParamMismatch,
     PrecisionExhausted,
 )
@@ -258,9 +257,6 @@ class PadicSeries:
         ]
         return PadicSeries._reduced(self.params, raw, caps)
 
-    def scale_int(self, n: int) -> "PadicSeries":
-        return self.scale(PadicElt.from_int(self.params, n))
-
     def __pow__(self, n: int) -> "PadicSeries":
         if n < 0:
             return self.invert() ** (-n)
@@ -318,15 +314,6 @@ class PadicSeries:
             return self
         return PadicSeries._make(
             self.params, tuple([p[:nx] for p in self.planes]), self.caps[:nx]
-        )
-
-    def shift_up(self, j: int) -> "PadicSeries":
-        """Multiply by x^j: the product is known modulo x^(nx + j)."""
-        zeros = (0,) * j
-        return PadicSeries._make(
-            self.params,
-            tuple([zeros + p for p in self.planes]),
-            (self.params.prec_pi,) * j + self.caps,
         )
 
     def __eq__(self, other: object) -> bool:
@@ -500,49 +487,16 @@ class MatrixSeries:
             self.m21 * o.m12 + self.m22 * o.m22,
         )
 
-    def scale_series(self, f: PadicSeries) -> "MatrixSeries":
-        return MatrixSeries(*(s * f for s in self.entries()))
-
-    def scale(self, t: PadicElt) -> "MatrixSeries":
-        return MatrixSeries(*(s.scale(t) for s in self.entries()))
-
     def det(self) -> PadicSeries:
         return self.m11 * self.m22 - self.m12 * self.m21
 
     def adj(self) -> "MatrixSeries":
         return MatrixSeries(self.m22, -self.m12, -self.m21, self.m11)
 
-    def inverse(self) -> "MatrixSeries":
-        d = self.det()
-        if not d.eval0().is_unit():
-            raise NonInvertibleDeterminant(
-                f"det has non-unit constant term {d.eval0()!r}"
-            )
-        return self.adj().scale_series(d.invert())
-
-    def left_mul_mat(self, m: Mat2) -> "MatrixSeries":
-        return MatrixSeries(
-            self.m11.scale(m.a) + self.m21.scale(m.b),
-            self.m12.scale(m.a) + self.m22.scale(m.b),
-            self.m11.scale(m.c) + self.m21.scale(m.d),
-            self.m12.scale(m.c) + self.m22.scale(m.d),
-        )
-
-    def right_mul_mat(self, m: Mat2) -> "MatrixSeries":
-        return MatrixSeries(
-            self.m11.scale(m.a) + self.m12.scale(m.c),
-            self.m11.scale(m.b) + self.m12.scale(m.d),
-            self.m21.scale(m.a) + self.m22.scale(m.c),
-            self.m21.scale(m.b) + self.m22.scale(m.d),
-        )
-
     # -- truncation ---------------------------------------------------------------------
 
     def reduce_nx(self, nx: int) -> "MatrixSeries":
         return MatrixSeries(*(s.reduce_nx(nx) for s in self.entries()))
-
-    def shift_up(self, j: int) -> "MatrixSeries":
-        return MatrixSeries(*(s.shift_up(j) for s in self.entries()))
 
     def same_at_cap(self, other: "MatrixSeries") -> bool:
         return (self - other).is_zero_at_cap()

@@ -15,6 +15,12 @@ subject to
 equation G_j P(0) - p^j P(0) G_j = C_j, solved by the contraction `_contract`
 for j >= k and, in the seed, by direct elimination below that, with no
 fallback when the low-order system is singular.
+
+The solver loop runs on an integer kernel, not on PadicElt/PadicSeries
+objects: each element is its digit list, its cap and its valpi-or-cap, the
+contraction and the per-order defect update carry the element cap rules of
+`padics` exactly, and digits are reduced once per entry at the final cap.
+The seeds, logs and exceptions are those of the element arithmetic.
 """
 from __future__ import annotations
 
@@ -22,6 +28,8 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mod
 from pathlib import Path
 
 from .errors import (
@@ -33,11 +41,22 @@ from .errors import (
     SeedSingular,
     VersionMismatch,
 )
-from .padics import PadicElt, PadicParams
+from .padics import (
+    PadicElt,
+    PadicParams,
+    _canon,
+    _pi_div_digits,
+    _ring_mul,
+    _valpi_or_cap,
+)
 from .series import (
     Mat2,
     MatrixSeries,
     PadicSeries,
+    _reduce,
+    _ring_product,
+    _scalar,
+    _valpi_or_caps,
     cyclotomic_q,
     div_distinguished,
     mat_frobenius,
@@ -248,25 +267,135 @@ def _solve_order_low(
     return Mat2(s11, s12, s21, s22)
 
 
+# --------------------------------------------------------------------------- #
+# integer kernel of the order-by-order solver
+# --------------------------------------------------------------------------- #
+#
+# The solver loop runs on integers with the element cap rules of `padics`
+# carried exactly.  An element is a triple (digits, cap, v): its canonical
+# digit list, its cap and its valpi-or-cap; a constant 2x2 matrix is a list of
+# four triples, row-major; an entry of a matrix series is (planes, caps, vals)
+# as `PadicSeries` stores them.
+#
+# * a product x y has cap min(cap_x + v(y), cap_y + v(x), prec_pi);
+# * a sum has the min of the caps;
+# * p^t x has cap min(cap_x + e t, prec_pi);
+# * x / pi^t is `padics._pi_div_digits`: InexactDivision for a nonzero x with
+#   v(x) < t, else PrecisionExhausted when cap_x <= t; the quotient has cap
+#   cap_x - t.
+#
+# A sum of products is summed from unreduced digits and reduced once, at its
+# final cap, through PadicParams.digit_tables: a partial result reduced at its
+# own, larger cap differs from it by a multiple of the final modulus, so the
+# digits and caps are those of the Mat2/MatrixSeries arithmetic.
+
+def _triple(params: PadicParams, raw, cap: int) -> tuple[list[int], int, int]:
+    ds = _canon(params, raw, cap)
+    return ds, cap, _valpi_or_cap(params, ds, cap)
+
+
+def _triples(m: Mat2) -> list:
+    return [(list(x.digits), x.cap, x.valpi_or_cap()) for x in m.entries()]
+
+
+def _mat2(params: PadicParams, xs) -> Mat2:
+    return Mat2(*(PadicElt(params, ds, cap) for ds, cap, _ in xs))
+
+
+def _mat_mul(params: PadicParams, x, y) -> list[tuple[list[int], int]]:
+    """Unreduced digits and cap of each entry of x y (2x2 matrices of triples)."""
+    prec = params.prec_pi
+    out = []
+    for r in (0, 2):
+        (ad, ac, av), (bd, bc, bv) = x[r], x[r + 1]
+        for c in (0, 1):
+            (cd, cc, cv), (dd, dc, dv) = y[c], y[c + 2]
+            out.append((
+                list(map(add, _ring_mul(params, ad, cd), _ring_mul(params, bd, dd))),
+                min(ac + cv, cc + av, bc + dv, dc + bv, prec),
+            ))
+    return out
+
+
 def _contract(
-    p0: Mat2, adj0: Mat2, c: Mat2, k: int, j: int, not_divisible, diverged
-) -> Mat2:
+    params: PadicParams, p0, adj0, c, k: int, j: int, not_divisible, diverged
+) -> list:
     """Solve S P0 - p^j P0 S = C for j >= k by the contraction
-    S = R0 + p^(j-k+1) P0 S adj(P0), R0 = C adj(P0) / p^(k-1)."""
-    params = p0.a.params
-    try:
-        r0 = Mat2(*(x.pi_div_exact(params.e * (k - 1)) for x in (c * adj0).entries()))
-    except InexactDivision as exc:
-        raise not_divisible(j, exc) from exc
-    scale = PadicElt.from_int(params, params.p ** (j - k + 1))
-    sweeps = params.prec_pi + 2
+    S = R0 + p^(j-k+1) P0 S adj(P0), R0 = C adj(P0) / p^(k-1), on triples.
+
+    The sweep stops when S repeats, digits and caps alike.
+    """
+    prec, t = params.prec_pi, params.e * (k - 1)
+    r0 = []
+    for raw, cap in _mat_mul(params, c, adj0):
+        try:
+            ds = _pi_div_digits(params, _canon(params, raw, cap), cap, t)
+        except InexactDivision as exc:
+            raise not_divisible(j, exc) from exc
+        r0.append(_triple(params, ds, cap - t))
+    pt, et = params.p ** (j - k + 1), params.e * (j - k + 1)
+    sweeps = prec + 2
     s = r0
     for _ in range(sweeps):
-        s_next = r0 + (p0 * s * adj0).scale(scale)
+        ps = [_triple(params, raw, cap) for raw, cap in _mat_mul(params, p0, s)]
+        # R0's cap is below prec_pi, so the scale cap needs no prec_pi bound
+        s_next = [
+            _triple(params, [a + pt * b for a, b in zip(rd, ud)], min(rc, uc + et))
+            for (rd, rc, _), (ud, uc) in zip(r0, _mat_mul(params, ps, adj0))
+        ]
         if s_next == s:
             return s
         s = s_next
     raise diverged(j, sweeps)
+
+
+def _times_q(params: PadicParams, entry, qs, n: int) -> tuple:
+    """entry * Q cut to x-order n, Q = ((1+x)^p - 1)/x given by the (digit, v)
+    of its first p coefficients.
+
+    Q is exact (every cap prec_pi) and its coefficients from x^p on are zero
+    (v = prec_pi), so only cap(entry_i) + v(Q_l), l < p, can bind.
+    """
+    planes, caps, _ = entry
+    raw = [[0] * n for _ in planes]
+    out = [params.prec_pi] * n
+    for l, (q, vq) in enumerate(qs[:n]):
+        m = n - l
+        for acc, plane in zip(raw, planes):
+            acc[l:] = map(add, acc[l:], [q * x for x in plane[:m]])
+        out[l:] = map(min, out[l:], [cap + vq for cap in caps[:m]])
+    out = tuple(out)
+    planes = _reduce(params, raw, out)
+    return planes, out, _valpi_or_caps(params, planes, out)
+
+
+def _add_correction(params: PadicParams, d, pq, gp, s, j: int) -> None:
+    """D += x^j (PQ^j S - S gamma(P)) in place, one integer step per entry.
+
+    ``d`` holds four [planes, caps] lists, ``pq`` and ``gp`` four series
+    entries (``pq`` cut to x-order nx - j), ``s`` four triples.  An entry's
+    cap is the min of D's cap and the two bounds of each of its four product
+    caps; D's caps are at most prec_pi, so that third bound never binds.
+    """
+    moduli = params.digit_tables[0]
+    n = len(d[0][1]) - j
+    neg = [([-x for x in ds], cap, v) for ds, cap, v in s]
+    for r in (0, 2):
+        for c in (0, 1):
+            planes, caps = d[r + c]
+            raw = [plane[j:] for plane in planes]
+            bounds = [caps[j:]]
+            for (sp, sc, sv), (ds, cap, v) in (
+                (pq[r], s[c]), (pq[r + 1], s[c + 2]),
+                (gp[c], neg[r]), (gp[c + 2], neg[r + 1]),
+            ):
+                prod = _ring_product(params, [pl[:n] for pl in sp], ds, _scalar)
+                raw = [map(add, a, z) for a, z in zip(raw, prod)]
+                bounds += [map(add, sv, repeat(cap)), map(add, sc, repeat(v))]
+            new_caps = list(map(min, *bounds))
+            for plane, a, m in zip(planes, raw, moduli):
+                plane[j:] = map(mod, a, map(m.__getitem__, new_caps))
+            caps[j:] = new_caps
 
 
 def _solve_orders(
@@ -288,36 +417,43 @@ def _solve_orders(
     failures are raised as ``not_divisible(j, exc)`` and ``diverged(j, sweeps)``.
     A coefficient already zero at its cap is skipped.  Returns the corrected G
     and the log of (order, v(S_j)), or (order, cap of D[x^j]) when skipped.
+
+    The loop runs on the integer kernel above, with the element cap rules: a
+    product has cap min(cap_x + v(y), cap_y + v(x), prec_pi), a sum the min of
+    the caps, p^t x the cap min(cap_x + e t, prec_pi).  D is held as digit
+    lists plus caps and updated in place by `_add_correction`, the running
+    product P Q^j by `_times_q`, and P0, adj(P0) are triples prepared once per
+    call.  Only the low-order solve and the returned S_j are PadicElt values.
     """
-    params, nx = P.params, P.nx
-    p0 = P.eval0()
-    adj0 = p0.adj()
+    params, nx, e = P.params, P.nx, P.params.e
+    p0m = P.eval0()
+    p0, adj0 = _triples(p0m), _triples(p0m.adj())
     q = cyclotomic_q(params, nx)
-    pq = P
+    qs = list(zip(q.planes[0], q._valuations()))[: params.p]
+    pq = [(f.planes, f.caps, f._valuations()) for f in P.entries()]
+    gp = [(f.planes, f.caps, f._valuations()) for f in gamma_p.entries()]
+    d = [[list(map(list, f.planes)), list(f.caps)] for f in defect.entries()]
     mats = [Mat2.zero(params)] * nx
     log: list[tuple[int, Fraction]] = []
     for j in range(1, nx):
         # P Q^j; after the shift by x^j only x-orders below nx - j count
-        pq = pq.reduce_nx(nx - j).scale_series(q)
+        pq = [_times_q(params, entry, qs, nx - j) for entry in pq]
         if j < start:
             continue
-        c = defect.coeff(j)
-        if c.is_zero_at_cap():
-            log.append((j, Fraction(c.min_cap(), params.e)))
+        c = [_triple(params, [pl[j] for pl in planes], caps[j]) for planes, caps in d]
+        if not any(any(ds) for ds, _, _ in c):
+            log.append((j, Fraction(min(cap for _, cap, _ in c), e)))
             continue
         if j < k:
-            s = solve_low(j, c)
+            s = _triples(solve_low(j, _mat2(params, c)))
         else:
-            s = _contract(p0, adj0, c, k, j, not_divisible, diverged)
-        log.append((j, Fraction(s.min_val_or_cap(), params.e)))
-        mats[j] = s
-        # G -> G + x^j S moves D by x^j (P Q^j S - S gamma(P))
-        defect = defect + (
-            pq.right_mul_mat(s) - gamma_p.reduce_nx(nx - j).left_mul_mat(s)
-        ).shift_up(j)
-        if not defect.coeff(j).is_zero_at_cap():
+            s = _contract(params, p0, adj0, c, k, j, not_divisible, diverged)
+        log.append((j, Fraction(min(v for _, _, v in s), e)))
+        mats[j] = _mat2(params, s)
+        _add_correction(params, d, pq, gp, s, j)
+        if any(pl[j] for planes, _ in d for pl in planes):
             raise PrecisionExhausted(f"order {j}: correction failed to close")
-    if not defect.is_zero_at_cap():
+    if any(any(pl) for planes, _ in d for pl in planes):
         raise PrecisionExhausted("corrected pair still has visible defect")
     return G + MatrixSeries.from_mats(params, mats, nx), tuple(log)
 

@@ -176,7 +176,7 @@ def test_criterion_04_recursion_floors_and_brute_force():
         for i in range(1, nx):
             tail = Mat2(*(PadicElt.from_int(params, rng.randrange(-40, 41))
                           for _ in range(4)))
-            g = g + MatrixSeries.from_mats(params, [tail], nx).shift_up(i)
+            g = g + MatrixSeries.from_mats(params, [Mat2.zero(params)] * i + [tail], nx)
         h = extend_h(h0, g, k, m, table)
         for r in range(k):
             got = Fraction(h.coeff(r).min_val_or_cap(), params.e)

@@ -295,6 +295,29 @@ def test_scan_rejects_empty_grid(tmp_path):
                  "--m", "1", "--out", str(tmp_path / "s")]) == 5
 
 
+@pytest.mark.parametrize("k_range, ap_list", [
+    ("a:b", "3"), ("2:x", "3"), ("2:4", "3,x"), ("2", "1/0"),
+])
+def test_scan_malformed_grid_is_input_error(tmp_path, capsys, k_range, ap_list):
+    outdir = tmp_path / "s"
+    code = main(["scan", "--p", "3", "--k-range", k_range, "--ap-list", ap_list,
+                 "--m", "1", "--out", str(outdir)])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.startswith("input: ") and err.count("\n") == 1
+    assert not outdir.exists()
+
+
+def test_scan_malformed_grid_exits_without_traceback(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "wachdeform.cli", "scan", "--p", "3", "--k-range", "a:b",
+         "--ap-list", "3", "--m", "1", "--out", str(tmp_path / "s")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 5
+    assert proc.stderr.startswith("input: ") and proc.stderr.count("\n") == 1
+
+
 def test_scan_derived_trace_respects_bound(tmp_path, capsys):
     outdir = tmp_path / "scan"
     assert main(["scan", "--p", "3", "--k-range", "2:2", "--ap-list", "3",
@@ -317,3 +340,12 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "6"
+
+
+def test_cli_import_leaves_process_pool_out():
+    # only scan --jobs > 1 needs a process pool; every other command skips its import
+    probe = ("import sys, wachdeform.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

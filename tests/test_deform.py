@@ -212,8 +212,9 @@ def _gamma_table(k: int):
     return alpha(3, max(k - 1, 1), 2)
 
 
-def _const_series(m: Mat2, nx: int) -> MatrixSeries:
-    return MatrixSeries.from_mats(m.a.params, [m], nx)
+def _const_series(m: Mat2, nx: int, order: int = 0) -> MatrixSeries:
+    """x^order m, known mod x^nx."""
+    return MatrixSeries.from_mats(m.a.params, [Mat2.zero(m.a.params)] * order + [m], nx)
 
 
 def test_extend_h_zero_seed_stays_zero():
@@ -236,7 +237,7 @@ def test_extend_h_first_order_commutator():
     # (1 - chi) H_1 = G_1 H0 - H0 G_1, so H_1 = H0 G_1 - G_1 H0 = ((-c,0),(0,c))
     c = 3
     h0 = mat(0, 0, c, 0)
-    g = MatrixSeries.identity(P3, 12) + _const_series(mat(0, 1, 0, 0), 12).shift_up(1)
+    g = MatrixSeries.identity(P3, 12) + _const_series(mat(0, 1, 0, 0), 12, 1)
     h = extend_h(h0, g, 2, Fraction(1), _gamma_table(2))
     assert h.coeff(0).same_at_cap(h0)
     assert h.coeff(1).same_at_cap(mat(-c, 0, 0, c))
@@ -274,7 +275,7 @@ def test_extend_h_randomized_floors_and_congruence():
         for i in range(1, nx):
             tail = Mat2(*(PadicElt.from_int(params, rng.randrange(-40, 41))
                           for _ in range(4)))
-            g = g + MatrixSeries.from_mats(params, [tail], nx).shift_up(i)
+            g = g + MatrixSeries.from_mats(params, [Mat2.zero(params)] * i + [tail], nx)
         h = extend_h(h0, g, k, m, table)
         for r in range(k):
             got = Fraction(h.coeff(r).min_val_or_cap(), params.e)
@@ -298,7 +299,7 @@ def test_correct_gamma_zero_defect_is_identity_map():
 def test_correct_gamma_single_step_removes_planted_defect():
     w = seed_k2()
     t = mat(3, 6, 0, 3)
-    g_bad = w.G + _const_series(t, w.G.nx).shift_up(2)
+    g_bad = w.G + _const_series(t, w.G.nx, 2)
     gp, log = correct_gamma(w.P, g_bad, 2, 2)
     # the unique order-2 correction is exactly -T, restoring the original G
     assert gp.same_at_cap(w.G)
@@ -325,7 +326,7 @@ def test_correct_gamma_rebuilds_seed_above_weight(p, e, k, a_p, prec):
 
 def test_correct_gamma_rejects_low_order_defect():
     w = seed_k2()
-    g_bad = w.G + _const_series(mat(3, 0, 0, 3), w.G.nx).shift_up(1)
+    g_bad = w.G + _const_series(mat(3, 0, 0, 3), w.G.nx, 1)
     with pytest.raises(DefectNotDivisible):
         correct_gamma(w.P, g_bad, 2, 2)
 

@@ -225,6 +225,21 @@ def test_pi_shift_roundtrip_ramified():
     assert back.same_at_cap(x.reduce_cap(back.cap))
 
 
+def test_pi_div_exact_tests_divisibility_before_cap():
+    # a nonzero x with v(x) < t is not divisible by pi^t, whatever its cap;
+    # only a zero whose cap cannot absorb the shift lacks precision
+    for params in (P3, E2):
+        x = PadicElt.from_int(params, 3, 2 * params.e)      # v = e, cap 2e
+        with pytest.raises(InexactDivision):
+            x.pi_div_exact(2 * params.e)
+        with pytest.raises(InexactDivision):
+            x.pi_div_exact(3 * params.e)
+        for cap in (1, 2):
+            with pytest.raises(PrecisionExhausted):
+                PadicElt.zero(params, cap).pi_div_exact(2)
+        assert x.pi_div_exact(params.e).same_at_cap(PadicElt.one(params, params.e))
+
+
 # --------------------------------------------------------------------------
 # Teichmueller
 # --------------------------------------------------------------------------

@@ -5,18 +5,34 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wachdeform.errors import (
     DomainError,
+    InexactDivision,
     MalformedFile,
+    NeumannDivergence,
     ParamMismatch,
     SeedSingular,
     VersionMismatch,
+    WachdeformError,
 )
 from wachdeform.padics import PadicElt, PadicParams
-from wachdeform.series import Mat2, MatrixSeries, cyclotomic_q, mat_frobenius, mat_gamma
+from wachdeform.series import (
+    Mat2,
+    MatrixSeries,
+    PadicSeries,
+    cyclotomic_q,
+    mat_frobenius,
+    mat_gamma,
+)
 from wachdeform.wach import (
     WachData,
+    _add_correction,
+    _contract,
+    _times_q,
+    _triples,
     check_axioms,
     default_nx,
     load_wach,
@@ -133,7 +149,7 @@ def test_scaled_p_keeps_det_breaks_charpoly():
     w = seed_k2()
     scaled = WachData(
         params=P3, k=2, a_p=fi(3), chi_gamma=CHI,
-        P=w.P.scale(fi(1 + 3)), G=w.G,
+        P=MatrixSeries(*(e.scale(fi(1 + 3)) for e in w.P.entries())), G=w.G,
     )
     report = check_axioms(scaled)
     assert report.det_unit_ok  # det picked up the unit (1+p)^2
@@ -163,6 +179,17 @@ def test_seed_nonintegral_reports_failing_order(k, a, prec, expect_order):
     with pytest.raises(SeedSingular) as err:
         seed_companion(params, k, fi(a, params), CHI, max(10, min(16, 2 * k)))
     assert err.value.order == expect_order
+
+
+@pytest.mark.parametrize("e, cap", [(1, 6), (2, 12)])
+def test_seed_nondivisible_at_low_cap_is_singular(e, cap):
+    # at order 7 an entry of C adj(P0) is nonzero with v < e(k-1) while its cap
+    # is at most e(k-1): provably not divisible, so SeedSingular, not a
+    # precision failure
+    params = PadicParams(3, e, cap)
+    with pytest.raises(SeedSingular) as err:
+        seed_companion(params, 4, fi(9, params), CHI)
+    assert err.value.order == 7
 
 
 def test_weight4_obstruction_witness():
@@ -195,6 +222,182 @@ def test_weight4_obstruction_witness():
     assert lhs == [0, 0, c21, 0]
     # 2430 = 2 * 3^5 * 5 while 81(1-chi) has valuation 4 for every generator
     assert x12.denominator % 3 == 0
+
+
+# --------------------------------------------------------------------------
+# the solver's integer kernel against the Mat2 / MatrixSeries bodies it
+# replaced, kept here as references: digits, cap and exception class of every
+# entry must agree.  Operands mix exact zeros, zeros known to a low cap and
+# nonzero elements at every cap, over e = 1 and e = 2.
+# --------------------------------------------------------------------------
+
+def ref_contract(p0, adj0, c, k, j, not_divisible, diverged):
+    params = p0.a.params
+    try:
+        r0 = Mat2(*(x.pi_div_exact(params.e * (k - 1)) for x in (c * adj0).entries()))
+    except InexactDivision as exc:
+        raise not_divisible(j, exc) from exc
+    scale = PadicElt.from_int(params, params.p ** (j - k + 1))
+    sweeps = params.prec_pi + 2
+    s = r0
+    for _ in range(sweeps):
+        s_next = r0 + (p0 * s * adj0).scale(scale)
+        if s_next == s:
+            return s
+        s = s_next
+    raise diverged(j, sweeps)
+
+
+def ref_right_mul_mat(a, m):
+    return MatrixSeries(
+        a.m11.scale(m.a) + a.m12.scale(m.c),
+        a.m11.scale(m.b) + a.m12.scale(m.d),
+        a.m21.scale(m.a) + a.m22.scale(m.c),
+        a.m21.scale(m.b) + a.m22.scale(m.d),
+    )
+
+
+def ref_left_mul_mat(a, m):
+    return MatrixSeries(
+        a.m11.scale(m.a) + a.m21.scale(m.b),
+        a.m12.scale(m.a) + a.m22.scale(m.b),
+        a.m11.scale(m.c) + a.m21.scale(m.d),
+        a.m12.scale(m.c) + a.m22.scale(m.d),
+    )
+
+
+def ref_shift_up(a, j):
+    """x^j a, known mod x^(nx + j)."""
+    zeros = [PadicElt.zero(a.params)] * j
+    return MatrixSeries(*(PadicSeries(s.params, zeros + list(s.coeffs), s.nx + j)
+                          for s in a.entries()))
+
+
+def ref_update(defect, pq, gamma_p, s, j):
+    n = defect.nx - j
+    return defect + ref_shift_up(
+        ref_right_mul_mat(pq, s) - ref_left_mul_mat(gamma_p.reduce_nx(n), s), j
+    )
+
+
+KERNEL_RINGS = [
+    PadicParams(3, 1, 9), PadicParams(5, 1, 7), PadicParams(3, 2, 9), PadicParams(3, 2, 5),
+]
+
+
+@st.composite
+def kernel_elts(draw, params, factor=1):
+    kind = draw(st.sampled_from(["exact_zero", "low_zero", "any", "full"]))
+    prec = params.prec_pi
+    if kind == "exact_zero":
+        return PadicElt.zero(params)
+    cap = prec if kind == "full" else draw(st.integers(1, prec - (kind == "low_zero")))
+    if kind == "low_zero":
+        return PadicElt.zero(params, cap)
+    bound = params.p ** prec
+    digits = draw(st.lists(st.integers(-bound, bound), min_size=params.e, max_size=params.e))
+    return PadicElt(params, [factor * d for d in digits], cap)
+
+
+def kernel_mats(params, factor=1):
+    return st.builds(Mat2, *[kernel_elts(params, factor)] * 4)
+
+
+def kernel_series(params, nx):
+    elts = st.lists(kernel_elts(params), min_size=nx, max_size=nx)
+    return st.builds(lambda cs: PadicSeries(params, cs, nx), elts)
+
+
+def kernel_matrix_series(params, nx):
+    return st.builds(MatrixSeries, *[kernel_series(params, nx)] * 4)
+
+
+def outcome(fn):
+    """Entries as (digits, cap, valpi-or-cap), or the raised class and message."""
+    try:
+        m = fn()
+    except WachdeformError as exc:
+        return type(exc).__name__, str(exc)
+    return [(tuple(ds), cap, v) for ds, cap, v in (m if isinstance(m, list) else _triples(m))]
+
+
+@st.composite
+def contraction_case(draw):
+    params = draw(st.sampled_from(KERNEL_RINGS))
+    k = draw(st.integers(2, 3))
+    # j = k - 1 takes the factor p^0: that sweep need not contract
+    j = draw(st.sampled_from([k - 1, k, k, k + 1, k + 3]))
+    # [[0, 1], [1, 1]] is a unit of infinite order: at j = k - 1 its sweep cycles
+    fib = Mat2(*(PadicElt.from_int(params, n) for n in (0, 1, 1, 1)))
+    p0 = draw(st.one_of(kernel_mats(params), st.just(fib)))
+    rhs = draw(st.sampled_from(["divisible", "any", "zero"]))
+    if rhs == "zero":   # zero at its caps; R0 keeps a digit only where cap > e(k-1)
+        c = Mat2(*(PadicElt.zero(params, draw(st.integers(1, params.prec_pi)))
+                   for _ in range(4)))
+    else:
+        c = draw(kernel_mats(params, params.p ** (k - 1) if rhs == "divisible" else 1))
+    return params, p0, c, k, j
+
+
+@settings(max_examples=200, deadline=None)
+@given(contraction_case())
+def test_contract_kernel_matches_reference(case):
+    params, p0, c, k, j = case
+    adj0 = p0.adj()
+
+    def not_divisible(j, exc):
+        return SeedSingular(j, f"not divisible: {exc}")
+
+    def diverged(j, sweeps):
+        return NeumannDivergence(f"order {j}: {sweeps} sweeps")
+
+    want = outcome(lambda: ref_contract(p0, adj0, c, k, j, not_divisible, diverged))
+    got = outcome(lambda: _contract(
+        params, _triples(p0), _triples(adj0), _triples(c), k, j, not_divisible, diverged
+    ))
+    assert got == want
+
+
+@st.composite
+def update_case(draw):
+    params = draw(st.sampled_from(KERNEL_RINGS))
+    nx = draw(st.integers(2, 5))
+    j = draw(st.integers(1, nx - 1))
+    defect = draw(kernel_matrix_series(params, nx))
+    pq = draw(kernel_matrix_series(params, nx - j))
+    gamma_p = draw(kernel_matrix_series(params, nx))
+    return params, j, defect, pq, gamma_p, draw(kernel_mats(params))
+
+
+def _kernel_entries(m):
+    return [(s.planes, s.caps, s._valuations()) for s in m.entries()]
+
+
+@settings(max_examples=80, deadline=None)
+@given(update_case())
+def test_defect_update_kernel_matches_reference(case):
+    params, j, defect, pq, gamma_p, s = case
+    d = [[list(map(list, e.planes)), list(e.caps)] for e in defect.entries()]
+    _add_correction(params, d, _kernel_entries(pq), _kernel_entries(gamma_p), _triples(s), j)
+    want = ref_update(defect, pq, gamma_p, s, j)
+    assert [(tuple(map(tuple, planes)), tuple(caps)) for planes, caps in d] == [
+        (e.planes, e.caps) for e in want.entries()
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(KERNEL_RINGS).flatmap(
+    lambda params: st.integers(2, 8).flatmap(
+        lambda nx: st.tuples(st.just(params), st.integers(1, nx - 1), kernel_series(params, nx))
+    )
+))
+def test_running_product_kernel_matches_reference(case):
+    params, n, f = case
+    q = cyclotomic_q(params, f.nx)
+    qs = list(zip(q.planes[0], q._valuations()))[: params.p]
+    want = f.reduce_nx(n) * q
+    got = _times_q(params, (f.planes, f.caps, f._valuations()), qs, n)
+    assert got == (want.planes, want.caps, want._valuations())
 
 
 # --------------------------------------------------------------------------
