@@ -24,6 +24,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .deform import (
@@ -76,6 +77,7 @@ def _resolve_precisions(args, k: int, m: Fraction, alpha_k1: int) -> tuple[int, 
             raise PrecisionExhausted(
                 f"--prec-pi {args.prec_pi} is below the certified floor {floor} for k={k}"
             )
+        PadicParams(p, e, args.prec_pi)   # above the maximum: refused before any seeding
         return args.prec_pi, nx
     return precision_default(p, e, k, m, alpha_k1, nx), nx
 
@@ -362,8 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built on first use and reused: parsing leaves the parser unchanged, and an
+# in-process caller running many commands pays for the tree once
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (BoundViolated, PreconditionFails) as exc:

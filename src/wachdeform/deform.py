@@ -369,9 +369,13 @@ def extend_h(
     hs.extend(Mat2.zero(params) for _ in range(g.nx - k))
     h = MatrixSeries.from_mats(params, hs[: g.nx], g.nx)
 
-    # brute re-expansion: the defining congruence must vanish below x^k
-    defect = h * g - g * mat_gamma(h, chi)
-    for j in range(min(k, g.nx)):
+    # brute re-expansion: the defining congruence must vanish below x^k, where
+    # digits and caps depend only on the coefficients of H and G below x^k;
+    # gamma(H) is taken at full length, whose substitution table the ring has
+    n = min(k, g.nx)
+    hk, gk = h.reduce_nx(n), g.reduce_nx(n)
+    defect = hk * gk - gk * mat_gamma(h, chi).reduce_nx(n)
+    for j in range(n):
         if not defect.coeff(j).is_zero_at_cap():
             raise PrecisionExhausted(
                 f"recursion output fails HG = G gamma(H) at order {j}"

@@ -36,7 +36,6 @@ from .errors import (
     ParamMismatch,
     PrecisionExhausted,
     RamifiedUnsupported,
-    SlopesNotDistinct,
     ZeroInput,
 )
 
@@ -51,7 +50,6 @@ __all__ = [
     "plog",
     "pexp",
     "hensel_root",
-    "newton_slopes",
     "binom_coeffs",
 ]
 
@@ -108,12 +106,16 @@ def vp(q: int | Fraction, p: int) -> int:
 # parameters
 # --------------------------------------------------------------------------- #
 
+MAX_PREC_PI = 4096
+
+
 @dataclass(frozen=True)
 class PadicParams:
     """Base ring O_E = Z_p[pi]/(pi^e - p) and the working pi-adic cap.
 
     prec_pi is the hard ceiling: no element ever claims more than prec_pi
-    pi-adic digits.
+    pi-adic digits.  It is at most MAX_PREC_PI, which bounds the digit tables
+    and lies above the default budget at m = 1 up to weight 45 (e = 1).
     """
 
     p: int
@@ -127,6 +129,8 @@ class PadicParams:
             raise DomainError(f"ramification index must be >= 1, got {self.e}")
         if self.prec_pi < 1:
             raise PrecisionExhausted("prec_pi must be >= 1")
+        if self.prec_pi > MAX_PREC_PI:
+            raise PrecisionExhausted(f"prec_pi {self.prec_pi} exceeds the maximum {MAX_PREC_PI}")
 
     def digit_modulus(self, cap: int, j: int) -> int:
         """Modulus for digit j of an element known mod pi^cap."""
@@ -319,12 +323,6 @@ class PadicElt:
         uy = other.pi_div_exact(t)
         q = ux.div_unit(uy)
         return q.pi_mul(s - t)
-
-    def unit_part(self) -> "PadicElt":
-        v = self.valpi()
-        if v is None:
-            raise ZeroInput("zero at cap has no unit part")
-        return self.pi_div_exact(v)
 
     # -- precision plumbing ------------------------------------------------------
 
@@ -526,14 +524,15 @@ def _pi_div_digits(params: PadicParams, ds, cap: int, t: int) -> list[int]:
     return _pi_unshift(params, ds, t)
 
 
-def _running_quotients(params: PadicParams, factors, fail) -> list[PadicElt]:
+def _running_quotients(params: PadicParams, factors, fail) -> list[tuple[tuple[int, ...], int]]:
     """[1, q_1, ..., q_N] with q_n = f_1 ... f_n / n!, the f_n given as (digits, cap).
 
-    As in ScaledElt, q_n is a unit (or zero) mantissa times an exact pi-power,
+    Each q_n is returned as the (digits, cap) a PadicElt of it would hold.  As
+    in ScaledElt, q_n is a unit (or zero) mantissa times an exact pi-power,
     and ``fail(n)`` is raised for the first nonzero q_n outside O_E.
     """
     e, p, prec = params.e, params.p, params.prec_pi
-    out = [PadicElt.one(params)]
+    out = [((1,) + (0,) * (e - 1), prec)]
     m, mcap, mv, exp = [1] + [0] * (e - 1), prec, 0, 0   # mv: valpi-or-cap of m
     for n, (f, fcap) in enumerate(factors, 1):
         fv, fexp = _valpi_or_cap(params, f, fcap), 0
@@ -547,11 +546,12 @@ def _running_quotients(params: PadicParams, factors, fail) -> list[PadicElt]:
         if mv:
             if exp + mcap < 1:
                 raise PrecisionExhausted("scaled zero has no integral digits left")
-            out.append(PadicElt.zero(params, exp + mcap))
+            out.append(((0,) * e, min(exp + mcap, prec)))
         elif exp < 0:
             raise fail(n)
         else:
-            out.append(PadicElt(params, _pi_shift(params, m, exp), mcap + exp))
+            cap = min(mcap + exp, prec)
+            out.append((tuple(_canon(params, _pi_shift(params, m, exp), cap)), cap))
     return out
 
 
@@ -695,28 +695,17 @@ def hensel_root(c1: PadicElt, c0: PadicElt, seed: PadicElt) -> PadicElt:
     raise PrecisionExhausted("Newton iteration failed to stabilize")
 
 
-def newton_slopes(k: int, v_ap: Fraction | None) -> tuple[Fraction, Fraction]:
-    """Slopes of T^2 - a_p T + p^(k-1) when they are distinct.
-
-    v_ap = None means a_p is indistinguishable from zero, so the slopes
-    cannot be separated; SlopesNotDistinct either way when v(a_p) >= (k-1)/2.
-    """
-    if v_ap is None or 2 * v_ap >= k - 1:
-        raise SlopesNotDistinct(
-            f"v(a_p) = {v_ap} does not lie strictly below (k-1)/2 = {Fraction(k - 1, 2)}"
-        )
-    return Fraction(v_ap), Fraction(k - 1) - v_ap
-
-
 # --------------------------------------------------------------------------- #
 # binomial coefficient series C(s, n) for p-adic s
 # --------------------------------------------------------------------------- #
 
-def binom_coeffs(s: PadicElt, n_max: int) -> list[PadicElt]:
+def binom_coeffs(s: PadicElt, n_max: int) -> list[tuple[tuple[int, ...], int]]:
     """[C(s,0), ..., C(s,n_max)] by the incremental rule C(s,n) = C(s,n-1)(s-n+1)/n.
 
-    The running value is kept in factored form; integrality (automatic for
-    s in Z_p) is checked exactly on the pi-exponent, not at the cap.
+    Each C(s,n) is given as its canonical (digits, cap), the fields of the
+    PadicElt it equals.  The running value is kept in factored form;
+    integrality (automatic for s in Z_p) is checked exactly on the
+    pi-exponent, not at the cap.
     """
     d0, rest = s.digits[0], s.digits[1:]
     return _running_quotients(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from operator import add, mod, mul, neg, sub
 from typing import Iterable, Sequence
 
@@ -19,7 +20,7 @@ from .errors import (
     ParamMismatch,
     PrecisionExhausted,
 )
-from .padics import PadicElt, PadicParams, binom_coeffs
+from .padics import PadicElt, PadicParams, _canon, _valpi_or_cap, binom_coeffs
 
 __all__ = [
     "PadicSeries",
@@ -247,19 +248,9 @@ class PadicSeries:
             caps = list(map(min, caps, _min_conv(va, cb, n)))
         return PadicSeries._reduced(self.params, raw, caps)
 
-    def scale(self, c: PadicElt) -> "PadicSeries":
-        if c.params != self.params:
-            raise ParamMismatch(f"{c.params} vs {self.params}")
-        prec, cc, vc = self.params.prec_pi, c.cap, c.valpi_or_cap()
-        raw = _ring_product(self.params, self.planes, c.digits, _scalar)
-        caps = [
-            min(cc + v, ca + vc, prec) for ca, v in zip(self.caps, self._valuations())
-        ]
-        return PadicSeries._reduced(self.params, raw, caps)
-
     def __pow__(self, n: int) -> "PadicSeries":
         if n < 0:
-            return self.invert() ** (-n)
+            raise DomainError("negative powers of a series are not supported")
         r = PadicSeries.one(self.params, self.nx)
         b = self
         while n:
@@ -269,43 +260,6 @@ class PadicSeries:
             if n:
                 b = b * b
         return r
-
-    def invert(self) -> "PadicSeries":
-        """Inverse of a series with unit constant term.
-
-        out_n = -(sum_{i=1..n} f_i out_{n-i}) * out_0, each coefficient capped
-        and reduced before the next one reads it.
-        """
-        params, prec = self.params, self.params.prec_pi
-        inv0 = self.eval0().invert()   # raises DivisionByNonUnit if not a unit
-        v_inv0 = inv0.valpi_or_cap()
-        fv = self._valuations()
-        planes = [[d] for d in inv0.digits]
-        caps, vals = [inv0.cap], [v_inv0]
-        for n in range(1, self.nx):
-            # s = sum_{i=1..n} f_i out_{n-i}
-            raw = _ring_product(
-                params,
-                [f[1:n + 1] for f in self.planes],
-                [o[::-1] for o in planes],
-                lambda x, y: [sum(map(mul, x, y))],
-            )
-            cs = min(
-                prec,
-                min(map(add, self.caps[1:n + 1], reversed(vals))),
-                min(map(add, fv[1:n + 1], reversed(caps))),
-            )
-            s = _reduce(params, raw, (cs,))
-            vs = _valpi_or_caps(params, s, (cs,))[0]
-            # out_n = -(s * inv0)
-            c = min(cs + v_inv0, inv0.cap + vs, prec)
-            raw = _ring_product(params, s, inv0.digits, _scalar)
-            out = _reduce(params, [[-v for v in z] for z in raw], (c,))
-            for plane, d in zip(planes, out):
-                plane.append(d[0])
-            caps.append(c)
-            vals.append(_valpi_or_caps(params, out, (c,))[0])
-        return PadicSeries._make(params, tuple([tuple(p) for p in planes]), tuple(caps))
 
     # -- truncation / shifts ---------------------------------------------------------
 
@@ -537,26 +491,52 @@ def _subst_table(params: PadicParams, nx: int, key):
 
     Column k lists the x^k coefficients of u^0..u^k (u^i starts at x^i):
     (digit planes, caps, valuations, least cap of the table).
+
+    u^i = u^(i-1) u uses only u's coefficients that are not exact zeros (at
+    most c for an integer c >= 0), whose product caps are the only ones to bind.
     """
+    e, prec = params.e, params.prec_pi
     if key[0] == "int":
-        c = key[1]
-        base = [PadicElt.from_int(params, _int_binom(c, j)) for j in range(1, nx)]
+        base = [([_int_binom(key[1], j)] + [0] * (e - 1), prec) for j in range(1, nx)]
     else:
-        _, _, digits, cap = key
-        s = PadicElt(params, list(digits), cap)
-        bc = binom_coeffs(s, nx - 1)
-        base = bc[1:]
-    u = PadicSeries(params, [PadicElt.zero(params)] + base, nx)
-    powers = [PadicSeries.one(params, nx)]
-    for _ in range(1, nx):
-        powers.append(powers[-1] * u)
+        base = binom_coeffs(PadicElt(params, list(key[2]), key[3]), nx - 1)[1:]
+    terms = []
+    for b, (ds, cap) in enumerate(base, 1):
+        ds = _canon(params, ds, cap)
+        if cap < prec or any(ds):
+            terms.append((b, ds, cap, _valpi_or_cap(params, ds, cap)))
+    # u^i is exactly zero below x^i: row i holds its coefficients from x^i on
+    planes = _reduce(params, [[1] + [0] * (nx - 1)] + [[0] * nx] * (e - 1), (prec,) * nx)
+    caps = (prec,) * nx
+    rows = [(planes, caps, _valpi_or_caps(params, planes, caps))]
+    for i in range(1, nx):
+        planes, caps, vals = rows[-1]
+        n = nx - i
+        raw = [[0] * n for _ in range(e)]
+        out = [prec] * n
+        least_cap, least_val = min(caps), min(vals)
+        for b, ds, cap, v in terms:
+            m = n - b + 1   # x^(i-1+j) times u_b lands on x^(i+j+b-1)
+            if m <= 0:
+                break
+            prod = _ring_product(params, [pl[:m] for pl in planes], ds, _scalar)
+            for acc, z in zip(raw, prod):
+                acc[b - 1:] = map(add, acc[b - 1:], z)
+            if least_cap + v < prec or least_val + cap < prec:
+                out[b - 1:] = map(min, out[b - 1:], map(add, caps[:m], repeat(v)),
+                                  map(add, vals[:m], repeat(cap)))
+        out = tuple(out)
+        planes = _reduce(params, raw, out)
+        rows.append((planes, out, _valpi_or_caps(params, planes, out)))
 
     def columns(rows):
+        # shift row i right by i; column k keeps rows 0..k, so the fill never shows
+        rows = [(0,) * i + row for i, row in enumerate(rows)]
         return tuple([col[: k + 1] for k, col in enumerate(zip(*rows))])
 
-    planes = tuple([columns([pw.planes[s] for pw in powers]) for s in range(params.e)])
-    caps = columns([pw.caps for pw in powers])
-    vals = columns([pw._valuations() for pw in powers])
+    planes = tuple([columns([row[0][s] for row in rows]) for s in range(e)])
+    caps = columns([row[1] for row in rows])
+    vals = columns([row[2] for row in rows])
     return planes, caps, vals, min(map(min, caps))
 
 
@@ -632,42 +612,51 @@ def div_distinguished(
     error (coefficients of g beyond x-precision feeding back through the
     low-valuation part of dpoly) is charged to the caps explicitly.
     Returns (g, r) with g known mod x^(f.nx - d) and r of length d.
+
+    Each coefficient f_m - sum_j l_(m-j) g_j is an integer dot product reduced
+    once, at the min of f_m's cap, the element product caps and the charge.
     """
     params = f.params
+    f._align(dpoly)
     if dpoly.nx < d + 1:
         raise PrecisionExhausted("divisor truncated below its own degree")
-    top = dpoly.coeff(d)
-    if not (top - PadicElt.one(params, top.cap)).is_zero_at_cap():
+    top = [plane[d] for plane in dpoly.planes]
+    top[0] -= 1
+    if any(_canon(params, top, dpoly.caps[d])):
         raise DomainError("divisor is not monic of the stated degree")
-    for j in range(d + 1, dpoly.nx):
-        if not dpoly.coeff(j).is_zero_at_cap():
-            raise DomainError("divisor has terms above its stated degree")
-    lower = [dpoly.coeff(i) for i in range(d)]
-    delta = min(c.valpi_or_cap() for c in lower) if d else params.prec_pi
+    if any(any(plane[d + 1:]) for plane in dpoly.planes):
+        raise DomainError("divisor has terms above its stated degree")
+    lc, lv = dpoly.caps[:d], dpoly._valuations()[:d]
+    delta = min(lv) if d else params.prec_pi
     if delta < 1:
         raise DomainError("divisor is not distinguished (unit below top degree)")
     ng = f.nx - d
     if ng < 1:
         raise PrecisionExhausted("x-precision too small to divide by this degree")
 
-    g: list[PadicElt | None] = [None] * ng
+    gp, gc, gv = [[0] * ng for _ in dpoly.planes], [0] * ng, [0] * ng
+
+    def reduce_at(m: int, lo: int, hi: int, err: int) -> tuple[list[int], int]:
+        """f_m - sum_{lo <= j < hi} l_(m-j) g_j: canonical digits and cap."""
+        ls = slice(m - hi + 1, m - lo + 1)
+        raw = _ring_product(
+            params, [plane[ls][::-1] for plane in dpoly.planes], [plane[lo:hi] for plane in gp],
+            lambda x, y: [sum(map(mul, x, y))],
+        )
+        cap = min(f.caps[m], err, *map(add, lc[ls][::-1], gv[lo:hi]),
+                  *map(add, lv[ls][::-1], gc[lo:hi]))
+        return _canon(params, [plane[m] - z[0] for plane, z in zip(f.planes, raw)], cap), cap
+
     for j in range(ng - 1, -1, -1):
-        acc = f.coeff(j + d)
-        for i in range(d):
-            jj = j + d - i
-            if jj < ng and g[jj] is not None:
-                acc = acc - lower[i] * g[jj]
         # truncation error: unknown g-coefficients above x^(ng-1) re-enter
-        # through `lower`, each pass costing at least delta
-        err = delta * (-(-(ng - j) // d))
-        g[j] = acc.reduce_cap(min(acc.cap, err))
-
-    r = []
-    for i in range(d):
-        acc = f.coeff(i)
-        for j in range(0, min(i, ng - 1) + 1):
-            acc = acc - lower[i - j] * g[j]
-        err_r = delta * (1 + max(0, -(-(ng - d) // d)))
-        r.append(acc.reduce_cap(min(acc.cap, err_r)))
-
-    return PadicSeries(params, g, ng), PadicSeries(params, r, max(d, 1))
+        # through the lower coefficients, each pass costing at least delta
+        ds, gc[j] = reduce_at(j + d, j + 1, min(ng, j + d + 1), delta * (-(-(ng - j) // d)))
+        gv[j] = _valpi_or_cap(params, ds, gc[j])
+        for plane, x in zip(gp, ds):
+            plane[j] = x
+    err_r = delta * (1 + max(0, -(-(ng - d) // d)))
+    rs = [reduce_at(i, 0, min(i + 1, ng), err_r) for i in range(d)]
+    return (
+        PadicSeries._make(params, tuple(map(tuple, gp)), tuple(gc)),
+        PadicSeries._make(params, tuple(zip(*(ds for ds, _ in rs))), tuple(cap for _, cap in rs)),
+    )

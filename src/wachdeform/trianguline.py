@@ -107,7 +107,8 @@ class PsiMap:
             [(la.digits, la.cap)] * n_max,
             lambda n: NormViolation(f"|c_{n}| > 1: the interpolation series leaves the unit ball"),
         )
-        return cls(alpha=alpha, log_alpha=la, coeffs=tuple(coeffs))
+        return cls(alpha=alpha, log_alpha=la,
+                   coeffs=tuple(PadicElt(alpha.params, ds, cap) for ds, cap in coeffs))
 
     def terms_at(self, s: PadicElt) -> list[PadicElt]:
         """The terms c_n s^n, n = 0..n_max - 1."""
@@ -117,9 +118,6 @@ class PsiMap:
                 spow = spow * s
             terms.append(c * spow)
         return terms
-
-    def eval_at(self, s: PadicElt) -> PadicElt:
-        return sum(self.terms_at(s), PadicElt.zero(s.params))
 
 
 def _binomial_route(alpha: PadicElt, z: list[int], t: int | None, s: PadicElt) -> PadicElt:
@@ -131,12 +129,12 @@ def _binomial_route(alpha: PadicElt, z: list[int], t: int | None, s: PadicElt) -
         return PadicElt(params, acc, alpha.cap)
     bc = binom_coeffs(s, prec // t + 1)
     cap, zpow, zcap, zv = prec, list(acc), prec, 0
-    for b in bc[1:]:
+    for bd, bcap in bc[1:]:
         # valuations add in O_E, so v(z^n) is min(v(z^(n-1)) + t, cap)
         zcap = min(zcap + t, alpha.cap + zv, prec)
         zpow, zv = _canon(params, _ring_mul(params, zpow, z), zcap), min(zv + t, zcap)
-        cap = min(cap, b.cap + zv, zcap + _valpi_or_cap(params, b.digits, b.cap))
-        acc = list(map(add, acc, _ring_mul(params, b.digits, zpow)))
+        cap = min(cap, bcap + zv, zcap + _valpi_or_cap(params, bd, bcap))
+        acc = list(map(add, acc, _ring_mul(params, bd, zpow)))
     return PadicElt(params, acc, cap)
 
 

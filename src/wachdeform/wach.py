@@ -499,34 +499,42 @@ def seed_companion(
 # persistence
 # --------------------------------------------------------------------------- #
 
-def _elt_obj(x: PadicElt) -> dict:
-    return {"digits": [str(d) for d in x.digits], "cap": str(x.cap)}
+# The file is the text json.dumps(obj, sort_keys=True, indent=1) gives for an
+# object of decimal strings (elements {"cap": c, "digits": [...]}, series as
+# lists of elements, matrices as 2x2 lists of series), written straight from
+# the digit planes: the library encoder runs in pure Python when indenting.
 
-def _series_obj(s: PadicSeries) -> list:
-    return [_elt_obj(c) for c in s.coeffs]
+def _elt_text(ds, cap: int, n: int) -> str:
+    """An element object whose braces sit at depth n."""
+    a = " " * n
+    return (f'{{\n{a} "cap": "{cap}",\n{a} "digits": [\n{a}  "'
+            + f'",\n{a}  "'.join(map(str, ds)) + f'"\n{a} ]\n{a}}}')
 
-def _matrix_obj(m: MatrixSeries) -> list:
-    return [
-        [_series_obj(m.m11), _series_obj(m.m12)],
-        [_series_obj(m.m21), _series_obj(m.m22)],
-    ]
+
+def _array_text(items: list[str], n: int) -> str:
+    pad = "\n" + " " * (n + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * n + "]"
+
+
+def _matrix_text(m: MatrixSeries) -> str:
+    series = [_array_text([_elt_text(ds, cap, 4) for *ds, cap in zip(*s.planes, s.caps)], 3)
+              for s in m.entries()]
+    return _array_text([_array_text(series[:2], 2), _array_text(series[2:], 2)], 1)
 
 
 def save_wach(w: WachData, path: str | Path) -> None:
     """Write module data as deterministic structured text (sorted keys)."""
-    obj = {
-        "format_version": str(FORMAT_VERSION),
-        "p": str(w.params.p),
-        "e": str(w.params.e),
-        "k": str(w.k),
-        "prec_pi": str(w.params.prec_pi),
-        "prec_x": str(w.nx),
-        "chi_gamma": _elt_obj(PadicElt.from_int(w.params, w.chi_gamma)),
-        "a_p": _elt_obj(w.a_p),
-        "P": _matrix_obj(w.P),
-        "G": _matrix_obj(w.G),
-    }
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    params = w.params
+    chi = _canon(params, [w.chi_gamma] + [0] * (params.e - 1), params.prec_pi)
+    fields = [   # in sorted key order
+        ("G", _matrix_text(w.G)), ("P", _matrix_text(w.P)),
+        ("a_p", _elt_text(w.a_p.digits, w.a_p.cap, 1)),
+        ("chi_gamma", _elt_text(chi, params.prec_pi, 1)),
+    ] + [(key, f'"{value}"') for key, value in (
+        ("e", params.e), ("format_version", FORMAT_VERSION), ("k", w.k),
+        ("p", params.p), ("prec_pi", params.prec_pi), ("prec_x", w.nx),
+    )]
+    Path(path).write_text("{\n " + ",\n ".join(f'"{k}": {v}' for k, v in fields) + "\n}\n")
 
 
 def _req_int(obj: dict, key: str) -> int:
@@ -536,7 +544,8 @@ def _req_int(obj: dict, key: str) -> int:
         raise MalformedFile(f"field {key!r} missing or not an integer string") from exc
 
 
-def _elt_from(obj, params: PadicParams, where: str) -> PadicElt:
+def _elt_digits(obj, params: PadicParams, where: str) -> tuple[list[int], int]:
+    """Canonical digits and cap of one element object, validated."""
     try:
         digits = [int(d) for d in obj["digits"]]
         cap = int(obj["cap"])
@@ -546,14 +555,15 @@ def _elt_from(obj, params: PadicParams, where: str) -> PadicElt:
         raise MalformedFile(f"{where}: expected {params.e} digits, got {len(digits)}")
     if not 1 <= cap <= params.prec_pi:
         raise MalformedFile(f"{where}: cap {cap} outside [1, {params.prec_pi}]")
-    return PadicElt(params, digits, cap)
+    return _canon(params, digits, cap), cap
 
 
 def _series_from(arr, params: PadicParams, nx: int, where: str) -> PadicSeries:
     if not isinstance(arr, list) or len(arr) != nx:
         raise MalformedFile(f"{where}: expected {nx} coefficients")
-    return PadicSeries(
-        params, [_elt_from(o, params, f"{where}[{i}]") for i, o in enumerate(arr)], nx
+    elts = [_elt_digits(o, params, f"{where}[{i}]") for i, o in enumerate(arr)]
+    return PadicSeries._make(
+        params, tuple(zip(*(ds for ds, _ in elts))), tuple(cap for _, cap in elts)
     )
 
 
@@ -602,11 +612,10 @@ def load_wach(path: str | Path) -> WachData:
         raise MalformedFile(f"weight k must be >= 2, got {k}")
     if nx < 2:
         raise MalformedFile(f"prec_x must be >= 2, got {nx}")
-    chi_elt = _elt_from(obj.get("chi_gamma"), params, "chi_gamma")
-    chi = chi_elt.digits[0]
+    chi = _elt_digits(obj.get("chi_gamma"), params, "chi_gamma")[0][0]
     if chi < 2:
         raise MalformedFile(f"chi_gamma must encode an integer >= 2, got {chi}")
-    a_p = _elt_from(obj.get("a_p"), params, "a_p")
+    a_p = PadicElt(params, *_elt_digits(obj.get("a_p"), params, "a_p"))
     P = _matrix_from(obj.get("P"), params, nx, "P")
     G = _matrix_from(obj.get("G"), params, nx, "G")
     return WachData(params=params, k=k, a_p=a_p, chi_gamma=chi, P=P, G=G)

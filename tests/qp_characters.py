@@ -43,7 +43,7 @@ class QpMultChar:
         if self.kind == "mu":
             return self.z.power(vp_total)
         if self.kind == "chi_power":
-            return ScaledElt(x.unit_part() ** self.exponent)
+            return ScaledElt(x.pi_div_exact(vx) ** self.exponent)
         if self.kind == "omega_power":
             _, omega, _ = teichmuller_decompose(x)
             j = self.exponent % (params.p - 1)

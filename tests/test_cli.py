@@ -3,6 +3,7 @@ import csv
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from wachdeform.cli import main
 from wachdeform.deform import alpha, deform_trace, deformation_bound
 from wachdeform.errors import BoundViolated
-from wachdeform.padics import PadicElt, PadicParams, vp
+from wachdeform.padics import MAX_PREC_PI, PadicElt, PadicParams, vp
 from wachdeform.wach import seed_companion
 
 
@@ -223,6 +224,34 @@ def test_verify_tampered_module_fails_axioms(tmp_path, capsys):
     code, out = run("verify", "--in", str(path), capsys=capsys)
     assert code == 1
     assert "FAIL" in out
+
+
+def test_huge_prec_pi_header_refused_fast(tmp_path, capsys):
+    # a raised prec_pi header alone once made verify build every digit modulus
+    path = tmp_path / "mod.json"
+    assert main(["seed", "--p", "3", "--k", "2", "--ap", "3", "--out", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    obj["prec_pi"] = "10000000"
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert main(["verify", "--in", str(path)]) == 5
+    assert time.perf_counter() - t0 < 1.0
+    assert f"exceeds the maximum {MAX_PREC_PI}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", [
+    ["seed", "--p", "3", "--k", "2", "--ap", "3"],
+    ["deform", "--p", "3", "--k", "2", "--ap", "3", "--ap-new", "30", "--m", "1"],
+    ["psi", "--p", "3", "--alpha", "4", "--s", "1/2"],
+    ["scan", "--p", "3", "--k-range", "2:3", "--ap-list", "3", "--m", "1", "--out", "OUT"],
+])
+def test_huge_prec_pi_flag_refused_fast(cmd, tmp_path, capsys):
+    cmd = [str(tmp_path / "scan") if a == "OUT" else a for a in cmd]
+    t0 = time.perf_counter()
+    assert main(cmd + ["--prec-pi", "10000000"]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert f"exceeds the maximum {MAX_PREC_PI}" in capsys.readouterr().err
 
 
 def test_weightstep_below_star_threshold(tmp_path):

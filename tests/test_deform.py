@@ -25,12 +25,13 @@ from wachdeform.errors import (
     DomainError,
     NotAGenerator,
     PreconditionFails,
+    PrecisionExhausted,
     SlopesNotDistinct,
     ValuationFloorUnreachable,
 )
-from wachdeform.padics import PadicElt, PadicParams, val
+from wachdeform.padics import MAX_PREC_PI, PadicElt, PadicParams, val
 from wachdeform.series import Mat2, MatrixSeries, mat_gamma
-from wachdeform.wach import check_axioms, seed_companion
+from wachdeform.wach import check_axioms, default_nx, seed_companion
 
 P3 = PadicParams(3, 1, 24)
 
@@ -125,6 +126,19 @@ def test_precision_default_exceeds_floor():
     f = precision_floor(1, 4, Fraction(1), 1)
     d = precision_default(3, 1, 4, Fraction(1), 1, 32)
     assert d > f
+
+
+def test_precision_default_below_prec_pi_maximum():
+    # every default budget up to the weight-17 criterion fits under the maximum
+    for p in (3, 5, 7):
+        chi = default_chi(p)
+        for e in (1, 2):
+            for k in range(2, 18):
+                a = alpha(p, k - 1, chi).value(k - 1)
+                assert precision_default(p, e, k, Fraction(1), a, default_nx(p, k)) <= MAX_PREC_PI
+    with pytest.raises(PrecisionExhausted, match="exceeds the maximum"):
+        PadicParams(3, 1, MAX_PREC_PI + 1)
+    assert PadicParams(3, 2, MAX_PREC_PI).prec_pi == MAX_PREC_PI
 
 
 # --------------------------------------------------------------------------- #
@@ -241,6 +255,24 @@ def test_extend_h_first_order_commutator():
     h = extend_h(h0, g, 2, Fraction(1), _gamma_table(2))
     assert h.coeff(0).same_at_cap(h0)
     assert h.coeff(1).same_at_cap(mat(-c, 0, 0, c))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_extend_h_corrupted_order_raises_at_that_order(monkeypatch, r):
+    # the brute re-expansion, cut to x^k, sees an H_r moved by a unit at order
+    # r < k; G has a term beyond x^k, which the cut drops
+    g = (MatrixSeries.identity(P3, 12) + _const_series(mat(0, 1, 0, 0), 12, 1)
+         + _const_series(mat(1, 0, 2, 1), 12, 6))
+    from_mats = MatrixSeries.from_mats.__func__
+
+    def corrupted(cls, params, mats, nx):
+        mats = list(mats)
+        mats[r] = mats[r] + mat(1, 0, 0, 0)
+        return from_mats(cls, params, mats, nx)
+
+    monkeypatch.setattr(MatrixSeries, "from_mats", classmethod(corrupted))
+    with pytest.raises(PrecisionExhausted, match=rf"fails HG = G gamma\(H\) at order {r}$"):
+        extend_h(mat(9, 0, 27, 9), g, 4, Fraction(1), _gamma_table(4))
 
 
 def test_extend_h_rejects_shallow_seed():

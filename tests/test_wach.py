@@ -14,6 +14,7 @@ from wachdeform.errors import (
     MalformedFile,
     NeumannDivergence,
     ParamMismatch,
+    PrecisionExhausted,
     SeedSingular,
     VersionMismatch,
     WachdeformError,
@@ -149,7 +150,7 @@ def test_scaled_p_keeps_det_breaks_charpoly():
     w = seed_k2()
     scaled = WachData(
         params=P3, k=2, a_p=fi(3), chi_gamma=CHI,
-        P=MatrixSeries(*(e.scale(fi(1 + 3)) for e in w.P.entries())), G=w.G,
+        P=MatrixSeries(*(series_scale(e, fi(1 + 3)) for e in w.P.entries())), G=w.G,
     )
     report = check_axioms(scaled)
     assert report.det_unit_ok  # det picked up the unit (1+p)^2
@@ -248,21 +249,26 @@ def ref_contract(p0, adj0, c, k, j, not_divisible, diverged):
     raise diverged(j, sweeps)
 
 
+def series_scale(f, c):
+    """f c coefficient by coefficient (the removed PadicSeries.scale)."""
+    return PadicSeries(f.params, [a * c for a in f.coeffs], f.nx)
+
+
 def ref_right_mul_mat(a, m):
     return MatrixSeries(
-        a.m11.scale(m.a) + a.m12.scale(m.c),
-        a.m11.scale(m.b) + a.m12.scale(m.d),
-        a.m21.scale(m.a) + a.m22.scale(m.c),
-        a.m21.scale(m.b) + a.m22.scale(m.d),
+        series_scale(a.m11, m.a) + series_scale(a.m12, m.c),
+        series_scale(a.m11, m.b) + series_scale(a.m12, m.d),
+        series_scale(a.m21, m.a) + series_scale(a.m22, m.c),
+        series_scale(a.m21, m.b) + series_scale(a.m22, m.d),
     )
 
 
 def ref_left_mul_mat(a, m):
     return MatrixSeries(
-        a.m11.scale(m.a) + a.m21.scale(m.b),
-        a.m12.scale(m.a) + a.m22.scale(m.b),
-        a.m11.scale(m.c) + a.m21.scale(m.d),
-        a.m12.scale(m.c) + a.m22.scale(m.d),
+        series_scale(a.m11, m.a) + series_scale(a.m21, m.b),
+        series_scale(a.m12, m.a) + series_scale(a.m22, m.b),
+        series_scale(a.m11, m.c) + series_scale(a.m21, m.d),
+        series_scale(a.m12, m.c) + series_scale(a.m22, m.d),
     )
 
 
@@ -487,6 +493,188 @@ def test_load_rejects_missing_field_and_bad_shape(tmp_path):
 def test_load_nonexistent_path(tmp_path):
     with pytest.raises(MalformedFile):
         load_wach(tmp_path / "missing.json")
+
+
+# --------------------------------------------------------------------------
+# persistence against the PadicElt-per-coefficient save and load it replaced,
+# kept here as references: the same bytes out, and on any file the same
+# module in or the same exception class and message
+# --------------------------------------------------------------------------
+
+def ref_elt_obj(x):
+    return {"digits": [str(d) for d in x.digits], "cap": str(x.cap)}
+
+
+def ref_matrix_obj(m):
+    return [[[ref_elt_obj(c) for c in s.coeffs] for s in row]
+            for row in ((m.m11, m.m12), (m.m21, m.m22))]
+
+
+def ref_save_text(w):
+    obj = {
+        "format_version": "1",
+        "p": str(w.params.p),
+        "e": str(w.params.e),
+        "k": str(w.k),
+        "prec_pi": str(w.params.prec_pi),
+        "prec_x": str(w.nx),
+        "chi_gamma": ref_elt_obj(PadicElt.from_int(w.params, w.chi_gamma)),
+        "a_p": ref_elt_obj(w.a_p),
+        "P": ref_matrix_obj(w.P),
+        "G": ref_matrix_obj(w.G),
+    }
+    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
+def ref_req_int(obj, key):
+    try:
+        return int(obj[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedFile(f"field {key!r} missing or not an integer string") from exc
+
+
+def ref_elt_from(obj, params, where):
+    try:
+        digits = [int(d) for d in obj["digits"]]
+        cap = int(obj["cap"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedFile(f"{where}: bad element encoding") from exc
+    if len(digits) != params.e:
+        raise MalformedFile(f"{where}: expected {params.e} digits, got {len(digits)}")
+    if not 1 <= cap <= params.prec_pi:
+        raise MalformedFile(f"{where}: cap {cap} outside [1, {params.prec_pi}]")
+    return PadicElt(params, digits, cap)
+
+
+def ref_series_from(arr, params, nx, where):
+    if not isinstance(arr, list) or len(arr) != nx:
+        raise MalformedFile(f"{where}: expected {nx} coefficients")
+    return PadicSeries(
+        params, [ref_elt_from(o, params, f"{where}[{i}]") for i, o in enumerate(arr)], nx
+    )
+
+
+def ref_matrix_from(arr, params, nx, where):
+    if (
+        not isinstance(arr, list)
+        or len(arr) != 2
+        or any(not isinstance(row, list) or len(row) != 2 for row in arr)
+    ):
+        raise MalformedFile(f"{where}: expected a 2x2 array")
+    return MatrixSeries(*(
+        ref_series_from(arr[i][j], params, nx, f"{where}[{i}][{j}]")
+        for i in (0, 1) for j in (0, 1)
+    ))
+
+
+def ref_load_text(text):
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedFile(
+            f"invalid structured text at line {exc.lineno} column {exc.colno}"
+        ) from exc
+    if not isinstance(obj, dict):
+        raise MalformedFile("top level is not an object")
+    version = obj.get("format_version")
+    if version != "1":
+        raise VersionMismatch(f"format_version {version!r}, supported: 1")
+    p, e = ref_req_int(obj, "p"), ref_req_int(obj, "e")
+    prec_pi, nx, k = ref_req_int(obj, "prec_pi"), ref_req_int(obj, "prec_x"), ref_req_int(obj, "k")
+    try:
+        params = PadicParams(p, e, prec_pi)
+    except (DomainError, PrecisionExhausted) as exc:
+        raise MalformedFile(f"bad ring parameters: {exc}") from exc
+    if k < 2:
+        raise MalformedFile(f"weight k must be >= 2, got {k}")
+    if nx < 2:
+        raise MalformedFile(f"prec_x must be >= 2, got {nx}")
+    chi = ref_elt_from(obj.get("chi_gamma"), params, "chi_gamma").digits[0]
+    if chi < 2:
+        raise MalformedFile(f"chi_gamma must encode an integer >= 2, got {chi}")
+    a_p = ref_elt_from(obj.get("a_p"), params, "a_p")
+    P = ref_matrix_from(obj.get("P"), params, nx, "P")
+    G = ref_matrix_from(obj.get("G"), params, nx, "G")
+    return WachData(params=params, k=k, a_p=a_p, chi_gamma=chi, P=P, G=G)
+
+
+def module_fields(w):
+    return (w.params, w.k, w.chi_gamma, w.a_p.digits, w.a_p.cap,
+            [(s.planes, s.caps) for s in w.P.entries() + w.G.entries()])
+
+
+def load_outcome(fn):
+    try:
+        return module_fields(fn())
+    except WachdeformError as exc:
+        return type(exc).__name__, str(exc)
+
+
+PERSIST_RINGS = [PadicParams(3, 1, 9), PadicParams(5, 1, 7), PadicParams(3, 2, 9)]
+
+
+@st.composite
+def stored_module(draw):
+    params = draw(st.sampled_from(PERSIST_RINGS))
+    nx = draw(st.integers(2, 4))
+    entries = [draw(kernel_series(params, nx)) for _ in range(8)]
+    return WachData(
+        params=params, k=draw(st.integers(2, 9)), a_p=draw(kernel_elts(params)),
+        chi_gamma=draw(st.integers(2, 3 * params.p ** params.prec_pi)),
+        P=MatrixSeries(*entries[:4]), G=MatrixSeries(*entries[4:]),
+    )
+
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 12), st.floats(allow_nan=False),
+    st.sampled_from(["", "x", "-1", "0", "1", "2", "10", " 7 ", "1_0", "9" * 30, "1.5"]),
+    st.lists(st.sampled_from(["0", "1", "5", "x"]), max_size=3),
+    st.dictionaries(st.sampled_from(["digits", "cap"]), st.sampled_from(["1", "3", ["2"]])),
+)
+
+
+@st.composite
+def mutated_text(draw, text):
+    """The saved text with a few values replaced, removed or added, or cut short."""
+    if draw(st.integers(0, 9)) == 0:
+        return text[: draw(st.integers(0, len(text)))]
+    obj = json.loads(text)
+    for _ in range(draw(st.integers(1, 3))):
+        node, path = obj, []
+        while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            path.append((node, key))
+            node = node[key]
+        if not path:
+            continue
+        parent, key = path[-1]
+        action = draw(st.sampled_from(["replace", "replace", "delete", "append"]))
+        if action == "delete":
+            del parent[key]
+        elif action == "append" and isinstance(parent[key], list):
+            parent[key].append(draw(JUNK))
+        else:
+            parent[key] = draw(JUNK)
+    return json.dumps(obj, indent=draw(st.sampled_from([None, 1])))
+
+
+@settings(max_examples=50, deadline=None)
+@given(stored_module())
+def test_save_matches_reference_text(tmp_path_factory, w):
+    path = tmp_path_factory.getbasetemp() / "saved.json"
+    save_wach(w, path)
+    assert path.read_text() == ref_save_text(w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_load_matches_reference_on_mutated_files(tmp_path_factory, data):
+    w = data.draw(stored_module())
+    text = data.draw(mutated_text(ref_save_text(w)))
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(text)
+    assert load_outcome(lambda: load_wach(path)) == load_outcome(lambda: ref_load_text(text))
 
 
 # --------------------------------------------------------------------------
