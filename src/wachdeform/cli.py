@@ -21,6 +21,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import random
 import sys
 from fractions import Fraction
@@ -67,19 +68,23 @@ def _elt_from_rational(params: PadicParams, q: Fraction) -> PadicElt:
     return ScaledElt.from_rational(params, q).to_padic()
 
 
-def _resolve_precisions(args, k: int, m: Fraction, alpha_k1: int) -> tuple[int, int]:
-    """prec_pi and nx: budget-formula defaults, overrides refused below floor."""
+def _resolve_precisions(args, k: int, m: Fraction, alpha_k1: int) -> tuple[PadicParams, int]:
+    """The ring at its cap, and nx: budget-formula defaults, overrides refused below floor.
+
+    A bad ring or a cap above the maximum is refused here, before any seeding.
+    """
     p, e = args.p, args.e
-    nx = args.prec_x or default_nx(p, k)
+    nx = default_nx(p, k) if args.prec_x is None else args.prec_x
+    if nx < 1:
+        raise PrecisionExhausted(f"--prec-x {nx} is below 1")
+    if args.prec_pi is None:
+        return PadicParams(p, e, precision_default(p, e, k, m, alpha_k1, nx)), nx
     floor = precision_floor(e, k, m, alpha_k1)
-    if args.prec_pi:
-        if args.prec_pi < floor:
-            raise PrecisionExhausted(
-                f"--prec-pi {args.prec_pi} is below the certified floor {floor} for k={k}"
-            )
-        PadicParams(p, e, args.prec_pi)   # above the maximum: refused before any seeding
-        return args.prec_pi, nx
-    return precision_default(p, e, k, m, alpha_k1, nx), nx
+    if args.prec_pi < floor:
+        raise PrecisionExhausted(
+            f"--prec-pi {args.prec_pi} is below the certified floor {floor} for k={k}"
+        )
+    return PadicParams(p, e, args.prec_pi), nx
 
 
 def _write_json(path: str, obj) -> None:
@@ -93,13 +98,12 @@ def _write_json(path: str, obj) -> None:
 def cmd_seed(args) -> int:
     chi = args.chi_gamma or default_chi(args.p)
     table = alpha(args.p, max(args.k - 1, 1), chi)
-    prec_pi, nx = _resolve_precisions(args, args.k, Fraction(1), table.value(args.k - 1))
-    params = PadicParams(args.p, args.e, prec_pi)
+    params, nx = _resolve_precisions(args, args.k, Fraction(1), table.value(args.k - 1))
     w = seed_companion(params, args.k, _elt_from_rational(params, args.ap), chi, nx)
     report = check_axioms(w)
     print(
         f"seeded p={args.p} k={args.k} a_p={args.ap} chi={chi} "
-        f"prec pi^{prec_pi} x^{nx}; defect valuation >= {report.commutation_defect_val}"
+        f"prec pi^{params.prec_pi} x^{nx}; defect valuation >= {report.commutation_defect_val}"
     )
     if args.out:
         save_wach(w, args.out)
@@ -136,8 +140,7 @@ def cmd_deform(args) -> int:
                 f"v(a_p - a'_p) = {v_eps} < 2 v(a_p) + alpha(k-1) + m = {bound}"
             )
 
-    prec_pi, nx = _resolve_precisions(args, k, m, ak1)
-    params = PadicParams(p, e, prec_pi)
+    params, nx = _resolve_precisions(args, k, m, ak1)
     w = seed_companion(params, k, _elt_from_rational(params, args.ap), chi, nx)
     wp, cert = deform_trace(w, _elt_from_rational(params, args.ap_new), m)
     print(f"bound: v(eps) = {cert.bound_observed} >= {cert.bound_required}")
@@ -158,7 +161,7 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_psi(args) -> int:
-    params = PadicParams(args.p, args.e, args.prec_pi or 24)
+    params = PadicParams(args.p, args.e, 24 if args.prec_pi is None else args.prec_pi)
     value = psi_eval(_elt_from_rational(params, args.alpha), args.s)
     print(f"{','.join(map(str, value.digits))} (mod {args.p}^{value.cap // args.e})")
     return 0
@@ -226,8 +229,16 @@ def _scan_point(payload: tuple) -> tuple[int, list[str]]:
     return index, row
 
 
+def _pool_size(jobs: int, points: int) -> int:
+    """Worker processes for a scan: at most one per grid point and per usable CPU."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(jobs, points, cpus or 1)
+
+
 def cmd_scan(args) -> int:
     p, e, m = args.p, args.e, args.m
+    if args.jobs < 1:
+        raise MalformedFile(f"--jobs must be at least 1, got {args.jobs}")
     chi = args.chi_gamma or default_chi(p)
     lo, sep, hi = args.k_range.partition(":")
     try:
@@ -244,23 +255,24 @@ def cmd_scan(args) -> int:
     payloads = []
     for index, (k, ap) in enumerate(grid):
         ak1 = alpha(p, k - 1, chi).value(k - 1)
-        prec_pi, nx = _resolve_precisions(args, k, m, ak1)
-        payloads.append((index, p, e, k, str(ap), str(m), chi, prec_pi, nx, args.seed))
+        params, nx = _resolve_precisions(args, k, m, ak1)
+        payloads.append((index, p, e, k, str(ap), str(m), chi, params.prec_pi, nx, args.seed))
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     plan = {
         "p": p, "e": e, "k_range": [k_lo, k_hi],
         "ap_list": [str(a) for a in ap_list], "m": str(m),
-        "chi_gamma": chi, "prec_pi": args.prec_pi, "prec_x": args.prec_x,
+        "chi_gamma": chi, "prec_pi": args.prec_pi or 0, "prec_x": args.prec_x or 0,
         "seed": args.seed, "jobs": args.jobs,
     }
     _write_json(outdir / "plan.json", plan)
 
-    if args.jobs > 1:
+    workers = _pool_size(args.jobs, len(payloads))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor   # only this path pays for it
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_point, payloads))
     else:
         results = [_scan_point(pl) for pl in payloads]
@@ -290,9 +302,9 @@ def _add_ring_flags(sp, with_k: bool = True) -> None:
         sp.add_argument("--k", type=int, required=True, help="weight, k >= 2")
     sp.add_argument("--chi-gamma", type=int, default=0,
                     help="generator chi(gamma); default: smallest primitive root mod p^2")
-    sp.add_argument("--prec-pi", type=int, default=0,
+    sp.add_argument("--prec-pi", type=int,
                     help="pi-adic cap; default from the budget formula")
-    sp.add_argument("--prec-x", type=int, default=0,
+    sp.add_argument("--prec-x", type=int,
                     help="x-adic truncation; default max(2k, 32, (p-1)(k-1)+2)")
 
 
@@ -330,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("psi", help="evaluate alpha^s by both series routes")
     sp.add_argument("--p", type=int, required=True, help="residue characteristic")
     sp.add_argument("--e", type=int, default=1, help="ramification index (default 1)")
-    sp.add_argument("--prec-pi", type=int, default=0, help="pi-adic cap (default 24)")
+    sp.add_argument("--prec-pi", type=int, help="pi-adic cap (default 24)")
     sp.add_argument("--alpha", type=_rat, required=True,
                     help="base alpha in 1 + pZ_p (exact rational)")
     sp.add_argument("--s", type=_rat, required=True, help="exponent s in Z_p (exact rational)")
@@ -355,11 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ap-list", required=True, help="comma-separated rationals")
     sp.add_argument("--m", type=_rat, required=True)
     sp.add_argument("--chi-gamma", type=int, default=0)
-    sp.add_argument("--prec-pi", type=int, default=0)
-    sp.add_argument("--prec-x", type=int, default=0)
+    sp.add_argument("--prec-pi", type=int)
+    sp.add_argument("--prec-x", type=int)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True, help="output directory")
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="worker processes, at most one per grid point and usable CPU")
     sp.set_defaults(fn=cmd_scan)
     return ap
 

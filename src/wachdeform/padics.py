@@ -21,6 +21,7 @@ reported as None.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -468,14 +469,30 @@ def _canon(params: PadicParams, ds, cap: int) -> list[int]:
 
 
 def _valpi_or_cap(params: PadicParams, ds, cap: int) -> int:
-    """valpi-or-cap of digits known at cap, reduced or not (a multiple of the modulus is 0)."""
+    """valpi-or-cap of digits known at cap, reduced or not.
+
+    gcd(d, modulus) is p^vp(d), or the modulus itself when d is a multiple of
+    it (zero at cap); the digit tables give its exponent.
+    """
+    moduli, log = params.digit_tables
     v = cap
     for j, d in enumerate(ds):
         if d:
-            w = j + params.e * vp(d, params.p)
+            w = j + params.e * log[math.gcd(d, moduli[j][cap])]
             if w < v:
                 v = w
     return v
+
+
+def _valpi_or_caps(params: PadicParams, planes, caps) -> tuple[int, ...]:
+    """`_valpi_or_cap` of each coefficient of digit planes at the given caps."""
+    moduli, log = params.digit_tables
+    e = params.e
+    per_digit = [
+        [s + e * log[g] for g in map(math.gcd, plane, map(moduli[s].__getitem__, caps))]
+        for s, plane in enumerate(planes)
+    ]
+    return tuple(list(map(min, caps, *per_digit)))
 
 
 def _ring_mul(params: PadicParams, a, b) -> list[int]:
@@ -535,13 +552,17 @@ def _running_quotients(params: PadicParams, factors, fail) -> list[tuple[tuple[i
     out = [((1,) + (0,) * (e - 1), prec)]
     m, mcap, mv, exp = [1] + [0] * (e - 1), prec, 0, 0   # mv: valpi-or-cap of m
     for n, (f, fcap) in enumerate(factors, 1):
+        # the valuation of unreduced digits is exact, so is the division by pi^fv
         fv, fexp = _valpi_or_cap(params, f, fcap), 0
         if fv < fcap:                 # normalise f to unit * pi^fexp
-            f, fcap, fexp, fv = _pi_unshift(params, _canon(params, f, fcap), fv), fcap - fv, fv, 0
+            f, fcap, fexp, fv = _pi_unshift(params, f, fv), fcap - fv, fv, 0
         cap = min(mcap + fv, fcap + mv, prec)
         vn = vp(n, p)
-        inv = pow(n // _ppow(p, vn), -1, _ppow(p, -(-cap // e)))
-        m = _canon(params, [d * inv for d in _ring_mul(params, m, f)], cap)
+        modulus = _ppow(p, -(-cap // e))
+        inv = pow(n // _ppow(p, vn), -1, modulus)
+        # m feeds only products and the canonical q_n, so it is carried modulo
+        # p^ceil(cap/e), a multiple of its digit moduli
+        m = [d * inv % modulus for d in _ring_mul(params, m, f)]
         mcap, mv, exp = cap, (cap if mv or fv else 0), exp + fexp - e * vn
         if mv:
             if exp + mcap < 1:

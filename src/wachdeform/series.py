@@ -20,7 +20,7 @@ from .errors import (
     ParamMismatch,
     PrecisionExhausted,
 )
-from .padics import PadicElt, PadicParams, _canon, _valpi_or_cap, binom_coeffs
+from .padics import PadicElt, PadicParams, _canon, _valpi_or_cap, _valpi_or_caps, binom_coeffs
 
 __all__ = [
     "PadicSeries",
@@ -47,28 +47,36 @@ __all__ = [
 # PadicParams.digit_modulus at that cap.  Reducing partial sums at their own
 # (larger) caps first changes nothing, so the kernel sums unreduced integers
 # and reduces once: the digits and caps are those of the element-wise loops.
+#
+# Exact data costs nothing.  An exact zero (digit 0 at cap prec_pi) has
+# valpi-or-cap prec_pi, so both bounds of any product with it are at least
+# prec_pi: it adds no digit and binds no cap.  A series' support is the length
+# after which every coefficient is an exact zero, and the kernels (here and in
+# `wach`) loop only over supports; an entry of support 0 is skipped outright.
+# Likewise a bound cap_x + v(y) is skipped once its least value reaches prec_pi,
+# as it does whenever x is exact (every cap prec_pi).
 
 def _reduce(params: PadicParams, raw, caps) -> tuple[tuple[int, ...], ...]:
-    """Canonical digit planes of raw integer planes at the given caps."""
+    """Canonical digit planes of raw integer planes at the given caps.
+
+    A raw plane shorter than ``caps`` is padded with exact zeros.
+    """
     # tuples are built from lists, not iterators: a tuple grown from an
     # iterator is resized outside CPython's per-size free lists but returns to
     # them when freed, so short truncated series would fill those lists
     moduli = params.digit_tables[0]
     return tuple([
-        tuple(list(map(mod, plane, map(moduli[s].__getitem__, caps))))
+        tuple(list(map(mod, plane, map(moduli[s].__getitem__, caps)))
+              + [0] * (len(caps) - len(plane)))
         for s, plane in enumerate(raw)
     ])
 
 
-def _valpi_or_caps(params: PadicParams, planes, caps) -> tuple[int, ...]:
-    """valpi-or-cap of each coefficient; gcd(d, modulus) = p^vp(d), or the modulus at d = 0."""
-    moduli, log = params.digit_tables
-    e = params.e
-    per_digit = [
-        [s + e * log[g] for g in map(math.gcd, plane, map(moduli[s].__getitem__, caps))]
-        for s, plane in enumerate(planes)
-    ]
-    return tuple(list(map(min, caps, *per_digit)))
+def _trim(planes, caps, n: int, prec: int) -> int:
+    """Support of digit planes at caps whose coefficients from x^n on are exact zeros."""
+    while n and caps[n - 1] >= prec and not any(pl[n - 1] for pl in planes):
+        n -= 1
+    return n
 
 
 def _ring_product(params: PadicParams, xs, ys, op) -> list[list[int]]:
@@ -90,16 +98,13 @@ def _ring_product(params: PadicParams, xs, ys, op) -> list[list[int]]:
     return out
 
 
-def _conv(x, y, n: int) -> list[int]:
-    """k-th entry sum_{i+j=k} x_i y_j, for k < n."""
-    ry = y[n - 1::-1]
-    return [sum(map(mul, x, ry[n - 1 - k:])) for k in range(n)]
-
-
-def _min_conv(x, y, n: int) -> list[int]:
-    """k-th entry min_{i+j=k} x_i + y_j, for k < n."""
-    ry = y[n - 1::-1]
-    return [min(map(add, x, ry[n - 1 - k:])) for k in range(n)]
+def _conv(x, y, n: int, red=sum, op=mul) -> list[int]:
+    """k-th entry red_{i+j=k} op(x_i, y_j), for k < min(n, len(x) + len(y) - 1)."""
+    if len(x) > len(y):
+        x, y = y, x
+    ry, ly, m = y[::-1], len(y), min(n, len(x) + len(y) - 1)
+    return ([red(map(op, x, ry[ly - 1 - k:])) for k in range(min(m, ly))]
+            + [red(map(op, x[k - ly + 1:], ry)) for k in range(ly, m)])
 
 
 def _scalar(x, d: int) -> list[int]:
@@ -119,7 +124,7 @@ class PadicSeries:
     PadicElt values on demand.
     """
 
-    __slots__ = ("params", "nx", "planes", "caps", "_vals")
+    __slots__ = ("params", "nx", "planes", "caps", "_vals", "_supp")
 
     def __init__(self, params: PadicParams, coeffs: Iterable[PadicElt], nx: int):
         if nx < 1:
@@ -134,24 +139,28 @@ class PadicSeries:
             tuple([c.cap for c in cs] + [params.prec_pi] * pad),
         )
 
-    def _set(self, params: PadicParams, planes, caps) -> None:
+    def _set(self, params: PadicParams, planes, caps, supp=None) -> None:
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "nx", len(caps))
         object.__setattr__(self, "planes", planes)
         object.__setattr__(self, "caps", caps)
         object.__setattr__(self, "_vals", None)
+        object.__setattr__(self, "_supp", supp)
 
     @classmethod
-    def _make(cls, params: PadicParams, planes, caps) -> "PadicSeries":
-        """Series from canonical digit planes and caps (no checks)."""
+    def _make(cls, params: PadicParams, planes, caps, supp=None) -> "PadicSeries":
+        """Series from canonical digit planes and caps (no checks), of support supp if known."""
         s = object.__new__(cls)
-        s._set(params, planes, caps)
+        s._set(params, planes, caps, supp)
         return s
 
     @classmethod
-    def _reduced(cls, params: PadicParams, raw, caps) -> "PadicSeries":
-        caps = tuple(caps)
-        return cls._make(params, _reduce(params, raw, caps), caps)
+    def _reduced(cls, params: PadicParams, raw, caps, nx: int | None = None) -> "PadicSeries":
+        """Series from raw planes at caps, padded with exact zeros to length nx."""
+        n = len(caps)
+        caps = tuple(caps) + (params.prec_pi,) * ((nx or n) - n)
+        planes = _reduce(params, raw, caps)
+        return cls._make(params, planes, caps, _trim(planes, caps, n, params.prec_pi))
 
     def __setattr__(self, *_):
         raise AttributeError("PadicSeries is immutable")
@@ -160,7 +169,9 @@ class PadicSeries:
 
     @classmethod
     def zero(cls, params: PadicParams, nx: int) -> "PadicSeries":
-        return cls.from_ints(params, [], nx)
+        if nx < 1:
+            raise PrecisionExhausted("series needs at least one x-digit")
+        return cls._make(params, ((0,) * nx,) * params.e, (params.prec_pi,) * nx, 0)
 
     @classmethod
     def one(cls, params: PadicParams, nx: int) -> "PadicSeries":
@@ -195,8 +206,18 @@ class PadicSeries:
     def _valuations(self) -> tuple[int, ...]:
         """valpi-or-cap of every coefficient, computed once per series."""
         if self._vals is None:
-            object.__setattr__(self, "_vals", _valpi_or_caps(self.params, self.planes, self.caps))
+            n = self._support()
+            vals = _valpi_or_caps(self.params, [pl[:n] for pl in self.planes], self.caps[:n])
+            object.__setattr__(self, "_vals", vals + (self.params.prec_pi,) * (self.nx - n))
         return self._vals
+
+    def _support(self) -> int:
+        """Length after which every coefficient is an exact zero, computed once per series."""
+        if self._supp is None:
+            object.__setattr__(
+                self, "_supp", _trim(self.planes, self.caps, self.nx, self.params.prec_pi)
+            )
+        return self._supp
 
     def is_zero_at_cap(self) -> bool:
         return not any(map(any, self.planes))
@@ -234,19 +255,23 @@ class PadicSeries:
 
     def __mul__(self, other: "PadicSeries") -> "PadicSeries":
         n = self._align(other)
-        prec = self.params.prec_pi
+        params, prec = self.params, self.params.prec_pi
+        sa, sb = min(self._support(), n), min(other._support(), n)
+        if not sa or not sb:
+            return PadicSeries.zero(params, n)
         raw = _ring_product(
-            self.params, self.planes, other.planes, lambda x, y: _conv(x, y, n)
+            params, [pl[:sa] for pl in self.planes], [pl[:sb] for pl in other.planes],
+            lambda x, y: _conv(x, y, n),
         )
-        ca, cb = self.caps[:n], other.caps[:n]
-        va, vb = self._valuations()[:n], other._valuations()[:n]
-        caps = [prec] * n
+        ca, cb = self.caps[:sa], other.caps[:sb]
+        va, vb = self._valuations()[:sa], other._valuations()[:sb]
+        caps = [prec] * len(raw[0])
         # each bound below is met by no pair when its minimum reaches prec_pi
         if min(ca) + min(vb) < prec:
-            caps = list(map(min, caps, _min_conv(ca, vb, n)))
+            caps = list(map(min, caps, _conv(ca, vb, n, min, add)))
         if min(cb) + min(va) < prec:
-            caps = list(map(min, caps, _min_conv(va, cb, n)))
-        return PadicSeries._reduced(self.params, raw, caps)
+            caps = list(map(min, caps, _conv(va, cb, n, min, add)))
+        return PadicSeries._reduced(params, raw, caps, n)
 
     def __pow__(self, n: int) -> "PadicSeries":
         if n < 0:
@@ -544,18 +569,21 @@ def substitute_onepx_power(f: PadicSeries, c: int | PadicElt) -> PadicSeries:
     """f((1+x)^c - 1), for an integer or p-adic exponent c.
 
     An integer matrix-vector product: the x^k coefficient is
-    sum_{i<=k} f_i [x^k] u^i.
+    sum_{i<=k} f_i [x^k] u^i, with i below the support of f.
     """
     if isinstance(c, PadicElt) and c.params != f.params:
         raise ParamMismatch("exponent lives over a different ring")
     params, n = f.params, f.nx
-    prec = params.prec_pi
+    prec, s = params.prec_pi, f._support()
+    if not s:
+        return PadicSeries.zero(params, n)
     planes, caps, vals, least_cap = _subst_table(params, n, _exponent_key(c))
 
     raw = _ring_product(
-        params, f.planes, planes, lambda x, cols: [sum(map(mul, x, col)) for col in cols]
+        params, [pl[:s] for pl in f.planes], planes,
+        lambda x, cols: [sum(map(mul, x, col)) for col in cols],
     )
-    cf, vf = f.caps, f._valuations()
+    cf, vf = f.caps[:s], f._valuations()[:s]
     out = [prec] * n
     # each bound below is met by no term when its minimum reaches prec_pi
     if min(cf) < prec:   # the table's least valuation is v(u^0_0) = 0

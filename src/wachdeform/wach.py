@@ -28,7 +28,6 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import repeat
 from operator import add, mod
 from pathlib import Path
 
@@ -53,10 +52,8 @@ from .series import (
     Mat2,
     MatrixSeries,
     PadicSeries,
-    _reduce,
     _ring_product,
     _scalar,
-    _valpi_or_caps,
     cyclotomic_q,
     div_distinguished,
     mat_frobenius,
@@ -274,8 +271,9 @@ def _solve_order_low(
 # The solver loop runs on integers with the element cap rules of `padics`
 # carried exactly.  An element is a triple (digits, cap, v): its canonical
 # digit list, its cap and its valpi-or-cap; a constant 2x2 matrix is a list of
-# four triples, row-major; an entry of a matrix series is (planes, caps, vals)
-# as `PadicSeries` stores them.
+# four triples, row-major; an entry of a matrix series is a `PadicSeries`, and
+# its products reach only as far as its support (see the kernel comment of
+# `series`).
 #
 # * a product x y has cap min(cap_x + v(y), cap_y + v(x), prec_pi);
 # * a sum has the min of the caps;
@@ -302,18 +300,29 @@ def _mat2(params: PadicParams, xs) -> Mat2:
     return Mat2(*(PadicElt(params, ds, cap) for ds, cap, _ in xs))
 
 
+def _least_cap(x) -> int:
+    return min(x[0][1], x[1][1], x[2][1], x[3][1])
+
+
 def _mat_mul(params: PadicParams, x, y) -> list[tuple[list[int], int]]:
-    """Unreduced digits and cap of each entry of x y (2x2 matrices of triples)."""
+    """Unreduced digits and cap of each entry of x y (2x2 matrices of triples).
+
+    The bounds cap_x + v(y) are skipped when x is exact, and then no valuation
+    of y is read; likewise with x and y swapped.
+    """
     prec = params.prec_pi
+    xb, yb = _least_cap(x) < prec, _least_cap(y) < prec
     out = []
     for r in (0, 2):
         (ad, ac, av), (bd, bc, bv) = x[r], x[r + 1]
         for c in (0, 1):
             (cd, cc, cv), (dd, dc, dv) = y[c], y[c + 2]
-            out.append((
-                list(map(add, _ring_mul(params, ad, cd), _ring_mul(params, bd, dd))),
-                min(ac + cv, cc + av, bc + dv, dc + bv, prec),
-            ))
+            cap = prec
+            if xb:
+                cap = min(cap, ac + cv, bc + dv)
+            if yb:
+                cap = min(cap, cc + av, dc + bv)
+            out.append((list(map(add, _ring_mul(params, ad, cd), _ring_mul(params, bd, dd))), cap))
     return out
 
 
@@ -326,76 +335,99 @@ def _contract(
     The sweep stops when S repeats, digits and caps alike.
     """
     prec, t = params.prec_pi, params.e * (k - 1)
+    # the sweep's bounds read valuations of S and P0 S only when P0 (whose caps
+    # adj(P0) shares) is inexact
+    exact = _least_cap(p0) >= prec
+
+    def triple(ds, cap: int):
+        return ds, cap, None if exact else _valpi_or_cap(params, ds, cap)
+
     r0 = []
     for raw, cap in _mat_mul(params, c, adj0):
         try:
             ds = _pi_div_digits(params, _canon(params, raw, cap), cap, t)
         except InexactDivision as exc:
             raise not_divisible(j, exc) from exc
-        r0.append(_triple(params, ds, cap - t))
+        r0.append(triple(ds, cap - t))
     pt, et = params.p ** (j - k + 1), params.e * (j - k + 1)
     sweeps = prec + 2
     s = r0
     for _ in range(sweeps):
-        ps = [_triple(params, raw, cap) for raw, cap in _mat_mul(params, p0, s)]
+        # P0 S feeds only the next product, reduced at its own smaller cap
+        ps = [triple(raw, cap) for raw, cap in _mat_mul(params, p0, s)]
         # R0's cap is below prec_pi, so the scale cap needs no prec_pi bound
-        s_next = [
-            _triple(params, [a + pt * b for a, b in zip(rd, ud)], min(rc, uc + et))
-            for (rd, rc, _), (ud, uc) in zip(r0, _mat_mul(params, ps, adj0))
-        ]
+        s_next = []
+        for (rd, rc, _), (ud, uc) in zip(r0, _mat_mul(params, ps, adj0)):
+            cap = min(rc, uc + et)
+            s_next.append(triple(_canon(params, [a + pt * b for a, b in zip(rd, ud)], cap), cap))
         if s_next == s:
-            return s
+            return [_triple(params, ds, cap) for ds, cap, _ in s]
         s = s_next
     raise diverged(j, sweeps)
 
 
-def _times_q(params: PadicParams, entry, qs, n: int) -> tuple:
-    """entry * Q cut to x-order n, Q = ((1+x)^p - 1)/x given by the (digit, v)
-    of its first p coefficients.
+def _times_q(params: PadicParams, f: PadicSeries, qs, n: int) -> PadicSeries:
+    """f Q cut to x-order n, Q = ((1+x)^p - 1)/x given by the (digit, v) of its
+    first p coefficients.
 
     Q is exact (every cap prec_pi) and its coefficients from x^p on are zero
-    (v = prec_pi), so only cap(entry_i) + v(Q_l), l < p, can bind.
+    (v = prec_pi), so only cap(f_i) + v(Q_l), l < p, i below the support of f,
+    can bind.
     """
-    planes, caps, _ = entry
-    raw = [[0] * n for _ in planes]
-    out = [params.prec_pi] * n
-    for l, (q, vq) in enumerate(qs[:n]):
-        m = n - l
-        for acc, plane in zip(raw, planes):
-            acc[l:] = map(add, acc[l:], [q * x for x in plane[:m]])
-        out[l:] = map(min, out[l:], [cap + vq for cap in caps[:m]])
-    out = tuple(out)
-    planes = _reduce(params, raw, out)
-    return planes, out, _valpi_or_caps(params, planes, out)
+    prec, s = params.prec_pi, min(f._support(), n)
+    if not s:
+        return PadicSeries.zero(params, n)
+    m = min(n, s + len(qs) - 1)
+    raw = [[0] * m for _ in f.planes]
+    out = [prec] * m
+    least = min(f.caps[:s])
+    for l, (q, vq) in enumerate(qs[:m]):
+        t = min(s, m - l)
+        for acc, plane in zip(raw, f.planes):
+            acc[l:l + t] = map(add, acc[l:l + t], [q * x for x in plane[:t]])
+        if least + vq < prec:
+            out[l:l + t] = map(min, out[l:l + t], [cap + vq for cap in f.caps[:t]])
+    return PadicSeries._reduced(params, raw, out, n)
 
 
 def _add_correction(params: PadicParams, d, pq, gp, s, j: int) -> None:
     """D += x^j (PQ^j S - S gamma(P)) in place, one integer step per entry.
 
     ``d`` holds four [planes, caps] lists, ``pq`` and ``gp`` four series
-    entries (``pq`` cut to x-order nx - j), ``s`` four triples.  An entry's
-    cap is the min of D's cap and the two bounds of each of its four product
-    caps; D's caps are at most prec_pi, so that third bound never binds.
+    (``pq`` cut to x-order nx - j), ``s`` four triples.  An entry's cap is the
+    min of D's cap and the two bounds of each of its four product caps; D's
+    caps are at most prec_pi, so that third bound never binds.  A product
+    reaches only as far as its series' support, and D is left as it is beyond
+    the longest one.
     """
-    moduli = params.digit_tables[0]
+    moduli, prec = params.digit_tables[0], params.prec_pi
     n = len(d[0][1]) - j
     neg = [([-x for x in ds], cap, v) for ds, cap, v in s]
     for r in (0, 2):
         for c in (0, 1):
+            terms = [(f, min(f._support(), n), x) for f, x in (
+                (pq[r], s[c]), (pq[r + 1], s[c + 2]), (gp[c], neg[r]), (gp[c + 2], neg[r + 1]),
+            )]
+            h = max(m for _, m, _ in terms)
+            if not h:
+                continue
             planes, caps = d[r + c]
-            raw = [plane[j:] for plane in planes]
-            bounds = [caps[j:]]
-            for (sp, sc, sv), (ds, cap, v) in (
-                (pq[r], s[c]), (pq[r + 1], s[c + 2]),
-                (gp[c], neg[r]), (gp[c + 2], neg[r + 1]),
-            ):
-                prod = _ring_product(params, [pl[:n] for pl in sp], ds, _scalar)
-                raw = [map(add, a, z) for a, z in zip(raw, prod)]
-                bounds += [map(add, sv, repeat(cap)), map(add, sc, repeat(v))]
-            new_caps = list(map(min, *bounds))
-            for plane, a, m in zip(planes, raw, moduli):
-                plane[j:] = map(mod, a, map(m.__getitem__, new_caps))
-            caps[j:] = new_caps
+            raw = [plane[j:j + h] for plane in planes]
+            new_caps = caps[j:j + h]
+            for f, m, (ds, cap, v) in terms:
+                if not m:
+                    continue
+                prod = _ring_product(params, [pl[:m] for pl in f.planes], ds, _scalar)
+                for acc, z in zip(raw, prod):
+                    acc[:m] = map(add, acc[:m], z)
+                fv, fc = f._valuations()[:m], f.caps[:m]
+                if min(fv) + cap < prec:
+                    new_caps[:m] = map(min, new_caps[:m], [x + cap for x in fv])
+                if min(fc) + v < prec:
+                    new_caps[:m] = map(min, new_caps[:m], [x + v for x in fc])
+            for plane, a, mods in zip(planes, raw, moduli):
+                plane[j:j + h] = map(mod, a, map(mods.__getitem__, new_caps))
+            caps[j:j + h] = new_caps
 
 
 def _solve_orders(
@@ -430,14 +462,13 @@ def _solve_orders(
     p0, adj0 = _triples(p0m), _triples(p0m.adj())
     q = cyclotomic_q(params, nx)
     qs = list(zip(q.planes[0], q._valuations()))[: params.p]
-    pq = [(f.planes, f.caps, f._valuations()) for f in P.entries()]
-    gp = [(f.planes, f.caps, f._valuations()) for f in gamma_p.entries()]
+    pq, gp = P.entries(), gamma_p.entries()
     d = [[list(map(list, f.planes)), list(f.caps)] for f in defect.entries()]
     mats = [Mat2.zero(params)] * nx
     log: list[tuple[int, Fraction]] = []
     for j in range(1, nx):
         # P Q^j; after the shift by x^j only x-orders below nx - j count
-        pq = [_times_q(params, entry, qs, nx - j) for entry in pq]
+        pq = [_times_q(params, f, qs, nx - j) for f in pq]
         if j < start:
             continue
         c = [_triple(params, [pl[j] for pl in planes], caps[j]) for planes, caps in d]

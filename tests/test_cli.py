@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from wachdeform import cli
 from wachdeform.cli import main
 from wachdeform.deform import alpha, deform_trace, deformation_bound
 from wachdeform.errors import BoundViolated
@@ -254,6 +255,33 @@ def test_huge_prec_pi_flag_refused_fast(cmd, tmp_path, capsys):
     assert f"exceeds the maximum {MAX_PREC_PI}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--prec-pi", "--prec-x"])
+@pytest.mark.parametrize("cmd", [
+    ["seed", "--p", "3", "--k", "2", "--ap", "3"],
+    ["deform", "--p", "3", "--k", "2", "--ap", "3", "--ap-new", "30", "--m", "1"],
+    ["scan", "--p", "3", "--k-range", "2:2", "--ap-list", "3", "--m", "1", "--out", "OUT"],
+])
+def test_zero_precision_flag_is_refused_not_default(cmd, flag, tmp_path, capsys):
+    outdir = tmp_path / "scan"
+    cmd = [str(outdir) if a == "OUT" else a for a in cmd]
+    assert main(cmd + [flag, "0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"precision: {flag} 0 is below ") and err.count("\n") == 1
+    assert not outdir.exists()
+
+
+def test_scan_plan_bytes_without_precision_flags(tmp_path, capsys):
+    outdir = tmp_path / "scan"
+    assert main(["scan", "--p", "3", "--k-range", "2:2", "--ap-list", "3", "--m", "1",
+                 "--out", str(outdir)]) == 0
+    capsys.readouterr()
+    assert (outdir / "plan.json").read_text() == (
+        '{\n "ap_list": [\n  "3"\n ],\n "chi_gamma": 2,\n "e": 1,\n "jobs": 1,\n'
+        ' "k_range": [\n  2,\n  2\n ],\n "m": "1",\n "p": 3,\n "prec_pi": 0,\n'
+        ' "prec_x": 0,\n "seed": 0\n}\n'
+    )
+
+
 def test_weightstep_below_star_threshold(tmp_path):
     path = tmp_path / "mod.json"
     assert main(["seed", "--p", "3", "--k", "2", "--ap", "3",
@@ -345,6 +373,67 @@ def test_scan_malformed_grid_exits_without_traceback(tmp_path):
     )
     assert proc.returncode == 5
     assert proc.stderr.startswith("input: ") and proc.stderr.count("\n") == 1
+
+
+def test_scan_bad_ring_refused_before_any_file(tmp_path, capsys):
+    outdir = tmp_path / "s"
+    assert main(["scan", "--p", "3", "--e", "0", "--k-range", "2:2", "--ap-list", "3",
+                 "--m", "1", "--out", str(outdir)]) == 1
+    assert capsys.readouterr().err == (
+        "error: DomainError: ramification index must be >= 1, got 0\n"
+    )
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_scan_jobs_below_one_is_input_error(tmp_path, capsys, jobs):
+    outdir = tmp_path / "s"
+    assert main(["scan", "--p", "3", "--k-range", "2:2", "--ap-list", "3", "--m", "1",
+                 "--out", str(outdir), "--jobs", jobs]) == 5
+    err = capsys.readouterr().err
+    assert err == f"input: --jobs must be at least 1, got {jobs}\n"
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("jobs, points, cpus, size", [
+    (1, 5, 4, 1), (4, 5, 4, 4), (10**6, 5, 4, 4), (10**6, 3, 64, 3), (8, 1, 4, 1),
+    (3, 9, 1, 1),
+])
+def test_pool_size_clamps_to_points_and_cpus(monkeypatch, jobs, points, cpus, size):
+    # the usable CPUs are faked, so no worker is ever started
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    assert cli._pool_size(jobs, points) == size
+
+
+def test_scan_pool_gets_the_clamped_size(monkeypatch, tmp_path, capsys):
+    import concurrent.futures
+
+    sizes = []
+
+    class Serial:
+        """Stands in for the process pool: records its size, maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Serial)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    base = ["scan", "--p", "3", "--k-range", "2:2", "--m", "1", "--jobs", "1000"]
+    assert main(base + ["--ap-list", "3,6,9", "--out", str(tmp_path / "a")]) == 0
+    assert main(base + ["--ap-list", "3", "--out", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    assert sizes == [3]      # one grid point runs in this process, with no pool
 
 
 def test_scan_derived_trace_respects_bound(tmp_path, capsys):

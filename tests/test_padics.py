@@ -20,11 +20,14 @@ from wachdeform.errors import (
     RamifiedUnsupported,
     ZeroInput,
 )
+from wachdeform import padics
 from wachdeform.padics import (
     PadicElt,
     PadicParams,
     ScaledElt,
     _ppow,
+    _valpi_or_cap,
+    _valpi_or_caps,
     binom_coeffs,
     hensel_root,
     pexp,
@@ -577,3 +580,58 @@ def test_teichmuller_kernel_matches_reference(data):
     params = data.draw(st.sampled_from(KERNEL_RINGS))
     x = data.draw(ring_elt(params, v_max=3))
     assert outcome(teichmuller_decompose, x) == outcome(ref_teichmuller_decompose, x)
+
+
+def test_binom_coeffs_canonicalises_once_per_term(monkeypatch):
+    calls = []
+    canon = padics._canon
+    monkeypatch.setattr(padics, "_canon", lambda *a: calls.append(1) or canon(*a))
+    params = PadicParams(3, 1, 20)
+    binom_coeffs(PadicElt.from_int(params, 7), 21)
+    assert len(calls) <= 21
+
+
+# --------------------------------------------------------------------------
+# the valuation helper against the division loop it replaced, on canonical
+# and unreduced digits (negative, multiples of the modulus, zero)
+# --------------------------------------------------------------------------
+
+def ref_valpi_or_cap(params, ds, cap):
+    v = cap
+    for j, d in enumerate(ds):
+        if d:
+            w = j + params.e * vp(d, params.p)
+            if w < v:
+                v = w
+    return v
+
+
+@st.composite
+def raw_digits(draw, params):
+    """Digits of any size and sign, as a running product leaves them."""
+    cap = draw(st.integers(1, params.prec_pi))
+    digits = []
+    for j in range(params.e):
+        kind = draw(st.sampled_from(["zero", "any", "power", "modulus"]))
+        unit = draw(st.integers(1, params.p ** 6).filter(lambda u: u % params.p))
+        sign = draw(st.sampled_from([1, -1]))
+        if kind == "zero":
+            digits.append(0)
+        elif kind == "any":
+            digits.append(draw(st.integers(-params.p ** 40, params.p ** 40)))
+        elif kind == "power":
+            digits.append(sign * unit * params.p ** draw(st.integers(0, 30)))
+        else:   # a multiple of this digit's modulus at cap: zero at cap
+            digits.append(sign * unit * params.digit_modulus(cap, j))
+    return digits, cap
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(KERNEL_RINGS).flatmap(lambda params: st.tuples(
+    st.just(params), st.lists(raw_digits(params), min_size=1, max_size=6))))
+def test_valpi_or_cap_matches_division_loop(case):
+    params, elts = case
+    want = [ref_valpi_or_cap(params, ds, cap) for ds, cap in elts]
+    assert [_valpi_or_cap(params, ds, cap) for ds, cap in elts] == want
+    planes = [[ds[j] for ds, _ in elts] for j in range(params.e)]
+    assert _valpi_or_caps(params, planes, [cap for _, cap in elts]) == tuple(want)

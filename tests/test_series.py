@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+from operator import add, mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +17,8 @@ from wachdeform.series import (
     PadicSeries,
     _exponent_key,
     _int_binom,
+    _reduce,
+    _ring_product,
     _subst_table,
     cyclotomic_q,
     div_distinguished,
@@ -476,3 +479,115 @@ def test_subst_table_matches_series_powers(params, nx, c_int, c_digits, c_cap):
             return type(exc).__name__, str(exc)
 
     assert table(build) == table(ref_subst_table)
+
+
+# --------------------------------------------------------------------------
+# the support-aware kernels against the full-length integer bodies they
+# replaced, kept here as references.  Operands carry exact-zero tails, whole
+# exact-zero series, zeros known only below prec_pi (which still bind) and
+# exact series (every cap prec_pi), whose bounds are skipped.
+# --------------------------------------------------------------------------
+
+def ref_conv(x, y, n):
+    ry = y[n - 1::-1]
+    return [sum(map(mul, x, ry[n - 1 - k:])) for k in range(n)]
+
+
+def ref_min_conv(x, y, n):
+    ry = y[n - 1::-1]
+    return [min(map(add, x, ry[n - 1 - k:])) for k in range(n)]
+
+
+def ref_series(params, raw, caps):
+    caps = tuple(caps)
+    return PadicSeries._make(params, _reduce(params, raw, caps), caps)
+
+
+def ref_kernel_mul(f, g):
+    n = min(f.nx, g.nx)
+    prec = f.params.prec_pi
+    raw = _ring_product(f.params, f.planes, g.planes, lambda x, y: ref_conv(x, y, n))
+    ca, cb = f.caps[:n], g.caps[:n]
+    va, vb = f._valuations()[:n], g._valuations()[:n]
+    caps = [prec] * n
+    if min(ca) + min(vb) < prec:
+        caps = list(map(min, caps, ref_min_conv(ca, vb, n)))
+    if min(cb) + min(va) < prec:
+        caps = list(map(min, caps, ref_min_conv(va, cb, n)))
+    return ref_series(f.params, raw, caps)
+
+
+def ref_kernel_subst(f, c):
+    params, n = f.params, f.nx
+    prec = params.prec_pi
+    planes, caps, vals, least_cap = _subst_table(params, n, _exponent_key(c))
+    raw = _ring_product(
+        params, f.planes, planes, lambda x, cols: [sum(map(mul, x, col)) for col in cols]
+    )
+    cf, vf = f.caps, f._valuations()
+    out = [prec] * n
+    if min(cf) < prec:
+        out = [min(o, min(map(add, cf, v))) for o, v in zip(out, vals)]
+    if min(vf) + least_cap < prec:
+        out = [min(o, min(map(add, vf, cc))) for o, cc in zip(out, caps)]
+    return ref_series(params, raw, out)
+
+
+def ref_support(f):
+    """1 + the last index holding anything but an exact zero."""
+    prec = f.params.prec_pi
+    nonzero = [j for j, x in enumerate(f.coeffs) if x.cap < prec or not x.is_zero_at_cap()]
+    return nonzero[-1] + 1 if nonzero else 0
+
+
+def kernel_view(f):
+    """Digits, caps, valuations and support of a series, the support checked too."""
+    assert f._support() == ref_support(f)
+    return f.planes, f.caps, f._valuations(), f._support()
+
+
+@st.composite
+def tailed_series(draw, params, nx):
+    """A head of capped coefficients, exact zeros after it; the head may be empty."""
+    head = draw(st.integers(0, nx))
+    if draw(st.booleans()):          # exact: every cap prec_pi
+        elts = st.one_of(st.just(PadicElt.zero(params)), capped_elts(params).map(
+            lambda x: PadicElt(params, x.digits, params.prec_pi)))
+    else:
+        elts = capped_elts(params)
+    return PadicSeries(params, draw(st.lists(elts, min_size=head, max_size=head)), nx)
+
+
+@st.composite
+def tailed_pair(draw):
+    params = draw(st.sampled_from(RINGS))
+    nx = draw(st.integers(1, 8))
+    f = draw(tailed_series(params, nx))
+    return f, draw(tailed_series(params, draw(st.integers(1, 8))))
+
+
+P9 = RINGS[0]
+BIND = PadicElt(P9, [1], P9.prec_pi - 1)   # a unit one digit short: its bounds read prec_pi - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(tailed_pair())
+@example((PadicSeries(P9, [BIND], 3), PadicSeries(P9, [PadicElt.one(P9)], 3)))
+@example((PadicSeries(P9, [PadicElt.zero(P9, 8)], 2), PadicSeries(P9, [PadicElt.one(P9)], 2)))
+def test_support_mul_matches_full_length_kernel(fg):
+    f, g = fg
+    assert kernel_view(f * g) == kernel_view(ref_kernel_mul(f, g))
+    assert kernel_view(g * f) == kernel_view(ref_kernel_mul(g, f))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tailed_pair(), st.integers(-3, 9), st.integers(0, 80), st.integers(4, 9))
+@example((PadicSeries(P9, [BIND], 3), None), 2, 0, 9)
+@example((PadicSeries(P9, [PadicElt.zero(P9, 8), PadicElt.one(P9)], 3), None), 2, 0, 9)
+def test_support_subst_matches_full_length_kernel(fg, c_int, c_lift, c_cap):
+    f = fg[0]
+    c = PadicElt.from_int(f.params, c_lift, c_cap)
+    for exponent in (c_int, c):
+        assert kernel_view(substitute_onepx_power(f, exponent)) == kernel_view(
+            ref_kernel_subst(f, exponent)
+        )

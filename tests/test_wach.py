@@ -3,9 +3,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wachdeform.errors import (
@@ -19,11 +21,22 @@ from wachdeform.errors import (
     VersionMismatch,
     WachdeformError,
 )
-from wachdeform.padics import PadicElt, PadicParams
+from wachdeform.padics import (
+    PadicElt,
+    PadicParams,
+    _canon,
+    _pi_div_digits,
+    _ring_mul,
+    _valpi_or_cap,
+    _valpi_or_caps,
+)
 from wachdeform.series import (
     Mat2,
     MatrixSeries,
     PadicSeries,
+    _reduce,
+    _ring_product,
+    _scalar,
     cyclotomic_q,
     mat_frobenius,
     mat_gamma,
@@ -291,9 +304,12 @@ KERNEL_RINGS = [
 ]
 
 
+KINDS = ("exact_zero", "low_zero", "any", "full")
+
+
 @st.composite
-def kernel_elts(draw, params, factor=1):
-    kind = draw(st.sampled_from(["exact_zero", "low_zero", "any", "full"]))
+def kernel_elts(draw, params, factor=1, kinds=KINDS):
+    kind = draw(st.sampled_from(kinds))
     prec = params.prec_pi
     if kind == "exact_zero":
         return PadicElt.zero(params)
@@ -305,8 +321,8 @@ def kernel_elts(draw, params, factor=1):
     return PadicElt(params, [factor * d for d in digits], cap)
 
 
-def kernel_mats(params, factor=1):
-    return st.builds(Mat2, *[kernel_elts(params, factor)] * 4)
+def kernel_mats(params, factor=1, kinds=KINDS):
+    return st.builds(Mat2, *[kernel_elts(params, factor, kinds)] * 4)
 
 
 def kernel_series(params, nx):
@@ -375,16 +391,12 @@ def update_case(draw):
     return params, j, defect, pq, gamma_p, draw(kernel_mats(params))
 
 
-def _kernel_entries(m):
-    return [(s.planes, s.caps, s._valuations()) for s in m.entries()]
-
-
 @settings(max_examples=80, deadline=None)
 @given(update_case())
 def test_defect_update_kernel_matches_reference(case):
     params, j, defect, pq, gamma_p, s = case
     d = [[list(map(list, e.planes)), list(e.caps)] for e in defect.entries()]
-    _add_correction(params, d, _kernel_entries(pq), _kernel_entries(gamma_p), _triples(s), j)
+    _add_correction(params, d, pq.entries(), gamma_p.entries(), _triples(s), j)
     want = ref_update(defect, pq, gamma_p, s, j)
     assert [(tuple(map(tuple, planes)), tuple(caps)) for planes, caps in d] == [
         (e.planes, e.caps) for e in want.entries()
@@ -402,8 +414,204 @@ def test_running_product_kernel_matches_reference(case):
     q = cyclotomic_q(params, f.nx)
     qs = list(zip(q.planes[0], q._valuations()))[: params.p]
     want = f.reduce_nx(n) * q
-    got = _times_q(params, (f.planes, f.caps, f._valuations()), qs, n)
-    assert got == (want.planes, want.caps, want._valuations())
+    got = _times_q(params, f, qs, n)
+    assert (got.planes, got.caps, got._valuations()) == (
+        want.planes, want.caps, want._valuations()
+    )
+
+
+# --------------------------------------------------------------------------
+# the support-aware kernel against the full-length integer bodies it replaced,
+# kept here as references.  Series entries carry exact-zero tails, may be
+# whole exact zeros, may be exact (every cap prec_pi, so their bounds are
+# skipped) or hold zeros known only below prec_pi, which still bind; P0 is
+# exact or not.
+# --------------------------------------------------------------------------
+
+def ref_triple(params, raw, cap):
+    ds = _canon(params, raw, cap)
+    return ds, cap, _valpi_or_cap(params, ds, cap)
+
+
+def ref_mat_mul(params, x, y):
+    prec = params.prec_pi
+    out = []
+    for r in (0, 2):
+        (ad, ac, av), (bd, bc, bv) = x[r], x[r + 1]
+        for c in (0, 1):
+            (cd, cc, cv), (dd, dc, dv) = y[c], y[c + 2]
+            out.append((
+                list(map(add, _ring_mul(params, ad, cd), _ring_mul(params, bd, dd))),
+                min(ac + cv, cc + av, bc + dv, dc + bv, prec),
+            ))
+    return out
+
+
+def ref_kernel_contract(params, p0, adj0, c, k, j, not_divisible, diverged):
+    t = params.e * (k - 1)
+    r0 = []
+    for raw, cap in ref_mat_mul(params, c, adj0):
+        try:
+            ds = _pi_div_digits(params, _canon(params, raw, cap), cap, t)
+        except InexactDivision as exc:
+            raise not_divisible(j, exc) from exc
+        r0.append(ref_triple(params, ds, cap - t))
+    pt, et = params.p ** (j - k + 1), params.e * (j - k + 1)
+    sweeps = params.prec_pi + 2
+    s = r0
+    for _ in range(sweeps):
+        ps = [ref_triple(params, raw, cap) for raw, cap in ref_mat_mul(params, p0, s)]
+        s_next = [
+            ref_triple(params, [a + pt * b for a, b in zip(rd, ud)], min(rc, uc + et))
+            for (rd, rc, _), (ud, uc) in zip(r0, ref_mat_mul(params, ps, adj0))
+        ]
+        if s_next == s:
+            return s
+        s = s_next
+    raise diverged(j, sweeps)
+
+
+def ref_kernel_times_q(params, entry, qs, n):
+    planes, caps, _ = entry
+    raw = [[0] * n for _ in planes]
+    out = [params.prec_pi] * n
+    for l, (q, vq) in enumerate(qs[:n]):
+        m = n - l
+        for acc, plane in zip(raw, planes):
+            acc[l:] = map(add, acc[l:], [q * x for x in plane[:m]])
+        out[l:] = map(min, out[l:], [cap + vq for cap in caps[:m]])
+    out = tuple(out)
+    planes = _reduce(params, raw, out)
+    return planes, out, _valpi_or_caps(params, planes, out)
+
+
+def ref_kernel_add_correction(params, d, pq, gp, s, j):
+    moduli = params.digit_tables[0]
+    n = len(d[0][1]) - j
+    neg = [([-x for x in ds], cap, v) for ds, cap, v in s]
+    for r in (0, 2):
+        for c in (0, 1):
+            planes, caps = d[r + c]
+            raw = [plane[j:] for plane in planes]
+            bounds = [caps[j:]]
+            for (sp, sc, sv), (ds, cap, v) in (
+                (pq[r], s[c]), (pq[r + 1], s[c + 2]),
+                (gp[c], neg[r]), (gp[c + 2], neg[r + 1]),
+            ):
+                prod = _ring_product(params, [pl[:n] for pl in sp], ds, _scalar)
+                raw = [map(add, a, z) for a, z in zip(raw, prod)]
+                bounds += [map(add, sv, repeat(cap)), map(add, sc, repeat(v))]
+            new_caps = list(map(min, *bounds))
+            for plane, a, m in zip(planes, raw, moduli):
+                plane[j:] = map(mod, a, map(m.__getitem__, new_caps))
+            caps[j:] = new_caps
+
+
+def tuple_entry(f):
+    return f.planes, f.caps, f._valuations()
+
+
+def ref_support(f):
+    """1 + the last index holding anything but an exact zero."""
+    prec = f.params.prec_pi
+    nonzero = [j for j, x in enumerate(f.coeffs) if x.cap < prec or not x.is_zero_at_cap()]
+    return nonzero[-1] + 1 if nonzero else 0
+
+
+@st.composite
+def tailed_series(draw, params, nx):
+    """A head of coefficients, exact zeros after it; exact or not, the head may be empty."""
+    head = draw(st.integers(0, nx))
+    kinds = draw(st.sampled_from([KINDS, ("exact_zero", "full")]))
+    return PadicSeries(params, draw(st.lists(kernel_elts(params, 1, kinds),
+                                             min_size=head, max_size=head)), nx)
+
+
+def tailed_matrix_series(params, nx):
+    return st.builds(MatrixSeries, *[tailed_series(params, nx)] * 4)
+
+
+@st.composite
+def support_contraction_case(draw):
+    params, p0, c, k, j = draw(contraction_case())
+    if draw(st.booleans()):   # an exact P0, whose bounds the sweep skips
+        p0 = draw(kernel_mats(params, kinds=("exact_zero", "full")))
+    return params, p0, c, k, j
+
+
+P9 = KERNEL_RINGS[0]
+ONE = PadicElt.one(P9)
+SHORT = PadicElt(P9, [1], P9.prec_pi - 1)   # a unit one digit short: its bounds read prec_pi - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(support_contraction_case())
+@example((P9, Mat2(SHORT, ONE, ONE, ONE), Mat2(*[PadicElt.from_int(P9, 3)] * 4), 2, 2))
+def test_contract_matches_full_kernel(case):
+    params, p0, c, k, j = case
+    p0t, adj0t = _triples(p0), _triples(p0.adj())
+
+    def not_divisible(j, exc):
+        return SeedSingular(j, f"not divisible: {exc}")
+
+    def diverged(j, sweeps):
+        return NeumannDivergence(f"order {j}: {sweeps} sweeps")
+
+    want = outcome(lambda: ref_kernel_contract(
+        params, p0t, adj0t, _triples(c), k, j, not_divisible, diverged
+    ))
+    got = outcome(lambda: _contract(
+        params, p0t, adj0t, _triples(c), k, j, not_divisible, diverged
+    ))
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(KERNEL_RINGS).flatmap(
+    lambda params: st.integers(2, 8).flatmap(
+        lambda nx: st.tuples(st.just(params), st.integers(1, nx - 1), tailed_series(params, nx))
+    )
+))
+@example((P9, 3, PadicSeries(P9, [SHORT], 4)))
+@example((P9, 3, PadicSeries(P9, [PadicElt.zero(P9, 8), ONE], 4)))
+def test_times_q_matches_full_kernel(case):
+    params, n, f = case
+    q = cyclotomic_q(params, f.nx)
+    qs = list(zip(q.planes[0], q._valuations()))[: params.p]
+    got = _times_q(params, f, qs, n)
+    assert got._support() == ref_support(got)
+    assert tuple_entry(got) == ref_kernel_times_q(params, tuple_entry(f), qs, n)
+
+
+@st.composite
+def support_update_case(draw):
+    params = draw(st.sampled_from(KERNEL_RINGS))
+    nx = draw(st.integers(2, 6))
+    j = draw(st.integers(1, nx - 1))
+    defect = draw(kernel_matrix_series(params, nx))
+    pq = draw(tailed_matrix_series(params, nx - j))
+    gamma_p = draw(tailed_matrix_series(params, nx))
+    return params, j, defect, pq, gamma_p, draw(kernel_mats(params))
+
+
+def _bare(m):
+    return [[list(map(list, f.planes)), list(f.caps)] for f in m.entries()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(support_update_case())
+@example((P9, 1, MatrixSeries.identity(P9, 3), MatrixSeries.identity(P9, 2),
+          MatrixSeries.zero(P9, 3), Mat2(SHORT, ONE, ONE, ONE)))
+@example((P9, 1, MatrixSeries.identity(P9, 3),
+          MatrixSeries(*[PadicSeries(P9, [PadicElt.zero(P9, 8), ONE], 2)] * 4),
+          MatrixSeries.zero(P9, 3), Mat2(ONE, ONE, ONE, ONE)))
+def test_add_correction_matches_full_kernel(case):
+    params, j, defect, pq, gamma_p, s = case
+    got, want = _bare(defect), _bare(defect)
+    _add_correction(params, got, pq.entries(), gamma_p.entries(), _triples(s), j)
+    ref_kernel_add_correction(params, want, [tuple_entry(f) for f in pq.entries()],
+                              [tuple_entry(f) for f in gamma_p.entries()], _triples(s), j)
+    assert got == want
 
 
 # --------------------------------------------------------------------------
