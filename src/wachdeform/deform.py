@@ -10,7 +10,8 @@ argument leans on:
   2. ``build_h0`` finds a constant H0 with det(Id + H0) = 1 and
      Tr(H0 P(0)) = a'_p - a_p.
   3. ``extend_h`` grows H0 to a polynomial H of degree < k with
-     H G = G gamma(H) mod x^k.
+     H G = G gamma(H) mod x^k, reading each H_r off the series expansion of
+     G gamma(H) - H G; the pass over the finished H re-checks the relation.
   4. ``correct_gamma`` repairs the Gamma-matrix so that (P', G') with
      P' = (Id + H) P satisfies the commutation relation to full x-precision,
      through the order-by-order solver ``wach._solve_orders`` that also
@@ -38,7 +39,7 @@ from .errors import (
     SlopesNotDistinct,
     ValuationFloorUnreachable,
 )
-from .padics import PadicElt, hensel_root, val_or_cap, vp
+from .padics import PadicElt, check_odd_prime, hensel_root, val_or_cap, vp
 from .series import Mat2, MatrixSeries, mat_frobenius, mat_gamma
 from .wach import WachData, _solve_orders, check_axioms
 
@@ -82,11 +83,10 @@ def is_generator(p: int, chi_gamma: int) -> bool:
 
 def default_chi(p: int) -> int:
     """Smallest integer generator of Z_p^x (2 for p = 3 and 5, 3 for p = 7)."""
+    check_odd_prime(p)
     c = 2
-    while not is_generator(p, c):
+    while not is_generator(p, c):   # a primitive root mod p^2 lies below p^2
         c += 1
-        if c > p * p:  # unreachable for prime p, defensive only
-            raise NotAGenerator(f"no generator below {p * p} for p = {p}")
     return c
 
 
@@ -121,6 +121,7 @@ def _alpha_floor_formula(p: int, r: int) -> int:
 
 def alpha(p: int, r: int, chi_gamma: int) -> AlphaTable:
     """Tabulate alpha(1..r), cross-checking the product and floor formulas."""
+    check_odd_prime(p)
     if r < 1:
         raise DomainError(f"alpha needs r >= 1, got {r}")
     if not is_generator(p, chi_gamma):
@@ -292,23 +293,6 @@ def build_h0(p0: Mat2, eps: PadicElt, floor: Fraction) -> Mat2:
 # the Gamma-recursion mod x^k
 # --------------------------------------------------------------------------- #
 
-def _gamma_x_coeffs(chi_gamma: int, k: int) -> list[list[int]]:
-    """Integer coefficient table g[n][h] = [x^h] ((1+x)^chi - 1)^n for n, h < k."""
-    base = [math.comb(chi_gamma, j) if 1 <= j <= chi_gamma else 0 for j in range(k)]
-    table = [[1] + [0] * (k - 1)]
-    for _ in range(1, k):
-        prev = table[-1]
-        nxt = [0] * k
-        for i, ci in enumerate(prev):
-            if ci == 0:
-                continue
-            for j in range(1, k - i):
-                if base[j]:
-                    nxt[i + j] += ci * base[j]
-        table.append(nxt)
-    return table
-
-
 def extend_h(
     h0: Mat2,
     g: MatrixSeries,
@@ -318,9 +302,10 @@ def extend_h(
 ) -> MatrixSeries:
     """Grow H0 to H = H0 + x H_1 + ... + x^{k-1} H_{k-1} with HG = G gamma(H) mod x^k.
 
-    Each step divides by (1 - chi^r), spending exactly table.steps[r-1] of
-    precision; the output is checked against the asserted per-step floors
-    v(H_r) >= alpha(k-1) - alpha(r) + m and re-verified by brute expansion.
+    Each pass expands D = G gamma(H) - H G below x^k with H_r still zero, so
+    D[x^r] = (1 - chi^r) H_r: the division spends exactly table.steps[r-1] of
+    precision, and v(H_r) must reach its floor alpha(k-1) - alpha(r) + m.  The
+    pass over the finished H re-checks that every order of D below x^k vanishes.
     """
     params = g.params
     chi = table.chi_gamma
@@ -332,24 +317,20 @@ def extend_h(
     if not (g.eval0() - Mat2.identity(params)).is_zero_at_cap():
         raise DomainError("gamma-matrix must be Id mod x")
 
-    gx = _gamma_x_coeffs(chi, k)
+    # D below x^k depends only on H and G below x^k; gamma(H) is taken at full
+    # length, whose substitution table the ring has, and then cut
+    n = min(k, g.nx)
+    gk = g.reduce_nx(n)
     hs: list[Mat2] = [h0]
-    for r in range(1, k):
-        rhs = Mat2.zero(params)
-        for h in range(r):
-            inner = Mat2.zero(params)
-            for n in range(h + 1):
-                if gx[n][h]:
-                    inner = inner + hs[n].scale(PadicElt.from_int(params, gx[n][h]))
-            rhs = rhs + g.coeff(r - h) * inner
-        for n in range(r):
-            if gx[n][r]:
-                rhs = rhs + hs[n].scale(PadicElt.from_int(params, gx[n][r]))
-        for i in range(r):
-            rhs = rhs - hs[i] * g.coeff(r - i)
+    while True:
+        h = MatrixSeries.from_mats(params, hs, g.nx)
+        defect = gk * mat_gamma(h, chi).reduce_nx(n) - h.reduce_nx(n) * gk
+        r = len(hs)
+        if r == n:
+            break
         divisor = PadicElt.from_int(params, 1 - chi**r)
         try:
-            hr = Mat2(*(x.divide_exact(divisor) for x in rhs.entries()))
+            hr = Mat2(*(x.divide_exact(divisor) for x in defect.coeff(r).entries()))
         except InexactDivision as exc:
             raise PrecisionExhausted(
                 f"step {r}: division by 1 - chi^{r} left the integral ring: {exc}"
@@ -366,15 +347,6 @@ def extend_h(
             raise ValuationFloorUnreachable(
                 f"step {r}: v(H_{r}) = {got} below the floor {floor_r}"
             )
-    hs.extend(Mat2.zero(params) for _ in range(g.nx - k))
-    h = MatrixSeries.from_mats(params, hs[: g.nx], g.nx)
-
-    # brute re-expansion: the defining congruence must vanish below x^k, where
-    # digits and caps depend only on the coefficients of H and G below x^k;
-    # gamma(H) is taken at full length, whose substitution table the ring has
-    n = min(k, g.nx)
-    hk, gk = h.reduce_nx(n), g.reduce_nx(n)
-    defect = hk * gk - gk * mat_gamma(h, chi).reduce_nx(n)
     for j in range(n):
         if not defect.coeff(j).is_zero_at_cap():
             raise PrecisionExhausted(
@@ -545,8 +517,6 @@ def deform_trace(
     wp = WachData(params=params, k=k, a_p=ap_new, chi_gamma=chi, P=pp, G=gp)
     report_p = check_axioms(wp)
 
-    p0p = pp.eval0()
-    qk = PadicElt.from_int(params, params.p ** (k - 1))
     h_vals = tuple(
         Fraction(h.coeff(r).min_val_or_cap(), params.e) for r in range(k)
     )
@@ -571,10 +541,7 @@ def deform_trace(
         iteration_log=log,
         p_congruent=_series_min_val(w.P - pp) >= m,
         g_congruent=_series_min_val(w.G - gp) >= m,
-        charpoly_ok=(
-            (p0p.trace() - ap_new).is_zero_at_cap()
-            and (p0p.det() - qk).is_zero_at_cap()
-        ),
+        charpoly_ok=report_p.charpoly_ok,
         axioms_ok=report_p.ok,
     )
     return wp, cert

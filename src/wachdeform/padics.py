@@ -85,6 +85,12 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def check_odd_prime(p: int) -> None:
+    """Refuse any p that is not an odd prime, before it reaches arithmetic mod p."""
+    if p < 3 or not _is_prime(p):
+        raise DomainError(f"p must be an odd prime, got {p}")
+
+
 @lru_cache(maxsize=None)
 def _ppow(p: int, t: int) -> int:
     return p ** t
@@ -124,8 +130,7 @@ class PadicParams:
     prec_pi: int = 20
 
     def __post_init__(self) -> None:
-        if self.p < 3 or not _is_prime(self.p):
-            raise DomainError(f"p must be an odd prime, got {self.p}")
+        check_odd_prime(self.p)
         if self.e < 1:
             raise DomainError(f"ramification index must be >= 1, got {self.e}")
         if self.prec_pi < 1:

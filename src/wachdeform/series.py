@@ -354,9 +354,6 @@ class Mat2:
             self.c * o.b + self.d * o.d,
         )
 
-    def scale(self, t: PadicElt) -> "Mat2":
-        return Mat2(self.a * t, self.b * t, self.c * t, self.d * t)
-
     def det(self) -> PadicElt:
         return self.a * self.d - self.b * self.c
 

@@ -42,6 +42,7 @@ from .padics import (
     _running_quotients,
     _valpi_or_cap,
     binom_coeffs,
+    check_odd_prime,
     pexp,
     plog,
     teichmuller_decompose,
@@ -260,15 +261,13 @@ def char_eval(chr_: TriCharacter, x: PadicElt, vp_shift: int = 0) -> ScaledElt:
 
 def hypothesis_star(p: int, v_ap, m) -> int:
     """Smallest weight k with k >= (3 v(a_p) + m)(1 - p/(p-1)^2)^{-1} + 1."""
+    check_odd_prime(p)
     v_ap, m = Fraction(v_ap), Fraction(m)
     if v_ap <= 0:
         raise NonpositiveValuation(f"(*) needs v(a_p) > 0, got {v_ap}")
     if m <= 0:
         raise NonpositiveValuation(f"(*) needs m > 0, got {m}")
-    denom = 1 - Fraction(p, (p - 1) ** 2)
-    if denom <= 0:
-        raise DomainError(f"(*) is vacuous for p = {p}: 1 - p/(p-1)^2 <= 0")
-    threshold = (3 * v_ap + m) / denom + 1
+    threshold = (3 * v_ap + m) / (1 - Fraction(p, (p - 1) ** 2)) + 1
     return math.ceil(threshold)
 
 

@@ -1,5 +1,7 @@
 """Exit-code contract and output determinism of the command-line front door."""
+import contextlib
 import csv
+import io
 import json
 import subprocess
 import sys
@@ -7,6 +9,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wachdeform import cli
 from wachdeform.cli import main
@@ -393,6 +397,71 @@ def test_scan_jobs_below_one_is_input_error(tmp_path, capsys, jobs):
     err = capsys.readouterr().err
     assert err == f"input: --jobs must be at least 1, got {jobs}\n"
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["alpha", "--p", "0", "--r", "3"],
+    ["seed", "--p", "0", "--k", "2", "--ap", "3", "--out", "OUT"],
+    ["seed", "--p", "4", "--k", "2", "--ap", "3", "--out", "OUT"],
+    ["deform", "--p", "0", "--k", "2", "--ap", "3", "--ap-new", "30", "--m", "1",
+     "--out", "OUT"],
+    ["scan", "--p", "0", "--k-range", "2:2", "--ap-list", "3", "--m", "1", "--out", "OUT"],
+    ["star", "--p", "0", "--vap", "1", "--m", "1"],
+    ["star", "--p", "1", "--vap", "1", "--m", "1"],
+    ["star", "--p", "9", "--vap", "1", "--m", "1"],
+])
+def test_bad_p_is_one_domain_error(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [str(out) if a == "OUT" else a for a in argv]
+    assert main(argv) == 1
+    p = argv[argv.index("--p") + 1]
+    assert capsys.readouterr() == ("", f"error: DomainError: p must be an odd prime, got {p}\n")
+    assert not out.exists()
+
+
+@st.composite
+def cli_argv(draw):
+    """A bounded argument list for one of the commands that start no worker pool."""
+    cmd = draw(st.sampled_from(["alpha", "star", "psi", "seed", "deform"]))
+    rat = st.sampled_from(["0", "1", "-1", "3", "1/3", "-3/2", "9", "x"])
+    level = st.sampled_from(["-1", "0", "1/2", "1", "2"])
+    k = draw(st.integers(-1, 4))
+    argv = [cmd, f"--p={draw(st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 9]))}"]
+    if cmd == "alpha":
+        argv.append(f"--r={k}")
+    elif cmd == "star":
+        argv += [f"--vap={draw(rat)}", f"--m={draw(level)}"]
+    elif cmd == "psi":
+        argv += [f"--alpha={draw(rat)}", f"--s={draw(rat)}"]
+    else:
+        argv += [f"--k={k}", f"--ap={draw(rat)}"]
+        if cmd == "deform":
+            argv += [f"--ap-new={draw(rat)}", f"--m={draw(level)}"]
+    optional = {
+        "--e": st.integers(0, 2), "--prec-pi": st.integers(-1, 60),
+        "--prec-x": st.integers(-1, 16), "--chi-gamma": st.integers(-1, 10),
+    }
+    allowed = {"alpha": ["--chi-gamma"], "star": [], "psi": ["--e", "--prec-pi"]}
+    for flag in allowed.get(cmd, list(optional)):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(optional[flag])}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv())
+@example(["alpha", "--p=0", "--r=1"])
+@example(["star", "--p=1", "--vap=1", "--m=1"])
+def test_fuzzed_arguments_end_in_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse refusing the list
+            assert exc.code == 2 and err.getvalue().startswith("usage: "), argv
+            return
+    assert code in range(6), argv
+    assert err.getvalue().count("\n") <= 1, argv
 
 
 @pytest.mark.parametrize("jobs, points, cpus, size", [

@@ -1,10 +1,14 @@
 """Tests for the deformation engine: alpha, H0, the H recursion, the
 Gamma-correction loop, and the end-to-end trace deformation with certificate."""
+import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wachdeform.deform import (
     alpha,
@@ -23,6 +27,7 @@ from wachdeform.errors import (
     BoundViolated,
     DefectNotDivisible,
     DomainError,
+    InexactDivision,
     NotAGenerator,
     PreconditionFails,
     PrecisionExhausted,
@@ -267,7 +272,8 @@ def test_extend_h_corrupted_order_raises_at_that_order(monkeypatch, r):
 
     def corrupted(cls, params, mats, nx):
         mats = list(mats)
-        mats[r] = mats[r] + mat(1, 0, 0, 0)
+        if len(mats) == 4:   # only the finished H, which the last pass re-expands
+            mats[r] = mats[r] + mat(1, 0, 0, 0)
         return from_mats(cls, params, mats, nx)
 
     monkeypatch.setattr(MatrixSeries, "from_mats", classmethod(corrupted))
@@ -315,6 +321,189 @@ def test_extend_h_randomized_floors_and_congruence():
         defect = h * g - g * mat_gamma(h, 2)
         for j in range(k):
             assert defect.coeff(j).is_zero_at_cap(), (trial, k, j)
+
+
+# --------------------------------------------------------------------------- #
+# extend_h against the element loop it replaced, kept here as a reference:
+# (1 - chi^r) H_r is summed from Mat2 products over a table of the integer
+# coefficients of ((1+x)^chi - 1)^n, then the output is re-expanded
+# --------------------------------------------------------------------------- #
+
+def ref_gamma_x_coeffs(chi_gamma: int, k: int) -> list[list[int]]:
+    """Integer coefficient table g[n][h] = [x^h] ((1+x)^chi - 1)^n for n, h < k."""
+    base = [math.comb(chi_gamma, j) if 1 <= j <= chi_gamma else 0 for j in range(k)]
+    table = [[1] + [0] * (k - 1)]
+    for _ in range(1, k):
+        prev = table[-1]
+        nxt = [0] * k
+        for i, ci in enumerate(prev):
+            if ci == 0:
+                continue
+            for j in range(1, k - i):
+                if base[j]:
+                    nxt[i + j] += ci * base[j]
+        table.append(nxt)
+    return table
+
+
+def ref_extend_h(h0, g, k, m, table):
+    params = g.params
+    chi = table.chi_gamma
+    alpha_k1 = table.value(k - 1)
+    if Fraction(h0.min_val_or_cap(), params.e) < alpha_k1 + m:
+        raise ValuationFloorUnreachable("H0 below the floor")
+    if not (g.eval0() - Mat2.identity(params)).is_zero_at_cap():
+        raise DomainError("gamma-matrix must be Id mod x")
+
+    def scale(h, n):
+        t = PadicElt.from_int(params, n)
+        return Mat2(*(x * t for x in h.entries()))
+
+    gx = ref_gamma_x_coeffs(chi, k)
+    hs = [h0]
+    for r in range(1, k):
+        rhs = Mat2.zero(params)
+        for h in range(r):
+            inner = Mat2.zero(params)
+            for n in range(h + 1):
+                if gx[n][h]:
+                    inner = inner + scale(hs[n], gx[n][h])
+            rhs = rhs + g.coeff(r - h) * inner
+        for n in range(r):
+            if gx[n][r]:
+                rhs = rhs + scale(hs[n], gx[n][r])
+        for i in range(r):
+            rhs = rhs - hs[i] * g.coeff(r - i)
+        divisor = PadicElt.from_int(params, 1 - chi**r)
+        try:
+            hr = Mat2(*(x.divide_exact(divisor) for x in rhs.entries()))
+        except InexactDivision as exc:
+            raise PrecisionExhausted(f"step {r}: {exc}")
+        hs.append(hr)
+        floor_r = Fraction(alpha_k1 - table.value(r)) + m
+        if Fraction(hr.min_cap(), params.e) < floor_r:
+            raise PrecisionExhausted(f"step {r}: cap below the floor")
+        if Fraction(hr.min_val_or_cap(), params.e) < floor_r:
+            raise ValuationFloorUnreachable(f"step {r}: v(H_r) below the floor")
+    hs.extend(Mat2.zero(params) for _ in range(g.nx - k))
+    h = MatrixSeries.from_mats(params, hs[: g.nx], g.nx)
+    n = min(k, g.nx)
+    hk, gk = h.reduce_nx(n), g.reduce_nx(n)
+    defect = hk * gk - gk * mat_gamma(h, chi).reduce_nx(n)
+    for j in range(n):
+        if not defect.coeff(j).is_zero_at_cap():
+            raise PrecisionExhausted(f"fails at order {j}")
+    return h
+
+
+def h_outcome(fn, *args):
+    """(digits, cap) of every coefficient of H, or the class of the raised error."""
+    try:
+        h = fn(*args)
+    except (DomainError, PrecisionExhausted, ValuationFloorUnreachable) as exc:
+        return type(exc)
+    return [[(c.digits, c.cap) for c in s.coeffs] for s in h.entries()]
+
+
+def pi_pow(params: PadicParams, s: int) -> PadicElt:
+    return PadicElt(params, [params.p ** (s // params.e) if j == s % params.e else 0
+                             for j in range(params.e)], params.prec_pi)
+
+
+@st.composite
+def extend_h_case(draw):
+    """(H0, G, k, m, table, G(0) exact): caps of H0 and G may sit below prec_pi,
+    H0 may miss its floor, and G(0) is Id either exactly or at a lower cap."""
+    p, e, k = draw(st.sampled_from([3, 5, 7])), draw(st.sampled_from([1, 2])), draw(st.integers(2, 7))
+    table = alpha(p, k - 1, default_chi(p))
+    m = Fraction(draw(st.integers(0, 2 * e)), e)
+    floor = e * (table.value(k - 1) + m)
+    params = PadicParams(p, e, int(floor) + draw(st.integers(2, 14)))
+    prec = params.prec_pi
+
+    def elt(v: int) -> PadicElt:
+        if draw(st.integers(0, 3)) == 0:
+            return PadicElt.zero(params)
+        digits = draw(st.lists(st.integers(-p ** 6, p ** 6), min_size=e, max_size=e))
+        cap = draw(st.one_of(st.just(prec), st.integers(1, prec)))
+        return pi_pow(params, v) * PadicElt(params, digits, cap)
+
+    v0 = max(0, int(floor) + draw(st.integers(-1, 3)))
+    h0 = Mat2(*(elt(v0) for _ in range(4)))
+    nx = k + draw(st.integers(0, 3))
+    exact = draw(st.booleans())
+    if exact:
+        g0 = Mat2.identity(params)
+    else:
+        cap = draw(st.integers(1, prec // 2))
+        g0 = Mat2(*(PadicElt.from_int(params, int(i in (0, 3)), draw(st.sampled_from([cap, prec])))
+                    for i in range(4)))
+        if g0.min_cap() == prec:
+            g0 = Mat2(PadicElt.one(params, cap), g0.b, g0.c, g0.d)
+    mats = [g0] + [Mat2(*(elt(0) for _ in range(4))) for _ in range(1, nx)]
+    g = MatrixSeries.from_mats(params, mats, nx)
+    return h0, g, k, m, table, exact
+
+
+@settings(max_examples=150, deadline=None)
+@given(extend_h_case())
+def test_extend_h_matches_element_loop(case):
+    h0, g, k, m, table, exact = case
+    new = h_outcome(extend_h, h0, g, k, m, table)
+    old = h_outcome(ref_extend_h, h0, g, k, m, table)
+    if exact:
+        assert new == old
+        return
+    # G(0) = Id only at a lower cap: the series kernel charges that cap to the
+    # G(0) gamma(H) term the loop left out, so caps may only fall, and a cap
+    # that falls below a floor is refused for precision
+    if isinstance(old, type):
+        assert isinstance(new, type)
+        return
+    if isinstance(new, type):
+        assert new is PrecisionExhausted
+        return
+    params = g.params
+    for s_new, s_old in zip(new, old):
+        for (d_new, c_new), (d_old, c_old) in zip(s_new, s_old):
+            assert c_new <= c_old
+            assert PadicElt(params, d_old, c_new).digits == d_new
+
+
+def test_extend_h_caps_what_g0_determines():
+    # G(0) = Id known mod 3^10 only: H_2 takes G(0) gamma(H)_2 = G(0) H_1 with
+    # v(H_1) = 2, so it is known mod 3^(10 + 2 - v(1 - 2^2)) = 3^11; the
+    # element loop never read G(0) and claimed H_2 to prec_pi - 1
+    g0 = Mat2(PadicElt.one(P3, 10), elt(0), elt(0), PadicElt.one(P3, 10))
+    g = MatrixSeries.from_mats(P3, [g0, mat(0, 1, 0, 0)], 12)
+    args = (mat(0, 0, 9, 0), g, 3, Fraction(1), _gamma_table(3))
+    new, old = extend_h(*args), ref_extend_h(*args)
+    assert old.coeff(2).min_cap() == 23
+    assert new.coeff(2).min_cap() == 11
+    assert (new - old).is_zero_at_cap()
+    for r in range(2):
+        assert [x.cap for x in new.coeff(r).entries()] == [x.cap for x in old.coeff(r).entries()]
+
+
+@pytest.mark.parametrize("p, k, digest", [
+    (7, 6, "c3954fff1e4db392646d11f8631c05c3c9b6faf3ba2764267051fe766d9b4cf0"),
+    (5, 8, "304a4ac55c93df814b40c956b7fe58f11d3323022af3ae0c8ecc74dd78d732f3"),
+    (7, 10, "8c67ec373f0decf02b0101b4cebee2abc86386785ec7eb4d8451610d6e89b344"),
+])
+def test_extend_h_ap_zero_seed_digests(p, k, digest):
+    # the a_p = 0 seed at its default caps with H0 = ((0,0),(-p,0)) at m = 0:
+    # a nonzero H at k >= 3, which no CLI command reaches; the digests were
+    # taken from the element loop
+    chi = default_chi(p)
+    table = alpha(p, k - 1, chi)
+    nx = default_nx(p, k)
+    params = PadicParams(p, 1, precision_default(p, 1, k, Fraction(1), table.value(k - 1), nx))
+    w = seed_companion(params, k, PadicElt.zero(params), chi, nx)
+    zero = PadicElt.zero(params)
+    h = extend_h(Mat2(zero, zero, PadicElt.from_int(params, -p), zero), w.G, k,
+                 Fraction(0), table)
+    text = "|".join(repr((s.nx, s.planes, s.caps)) for s in h.entries())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # --------------------------------------------------------------------------- #

@@ -255,7 +255,7 @@ def ref_contract(p0, adj0, c, k, j, not_divisible, diverged):
     sweeps = params.prec_pi + 2
     s = r0
     for _ in range(sweeps):
-        s_next = r0 + (p0 * s * adj0).scale(scale)
+        s_next = r0 + Mat2(*(x * scale for x in (p0 * s * adj0).entries()))
         if s_next == s:
             return s
         s = s_next
