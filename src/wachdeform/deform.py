@@ -67,6 +67,7 @@ __all__ = [
 
 def is_generator(p: int, chi_gamma: int) -> bool:
     """chi generates Z_p^x: full order mod p and no premature triviality mod p^2."""
+    check_odd_prime(p)
     if chi_gamma < 2 or chi_gamma % p == 0:
         return False
     order = 1
@@ -83,7 +84,6 @@ def is_generator(p: int, chi_gamma: int) -> bool:
 
 def default_chi(p: int) -> int:
     """Smallest integer generator of Z_p^x (2 for p = 3 and 5, 3 for p = 7)."""
-    check_odd_prime(p)
     c = 2
     while not is_generator(p, c):   # a primitive root mod p^2 lies below p^2
         c += 1

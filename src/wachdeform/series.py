@@ -4,7 +4,9 @@ A series is known modulo x^nx with per-coefficient pi-adic caps; nothing is
 ever claimed past either truncation.  The substitutions that matter are all
 of the shape f(x) |-> f((1+x)^c - 1): Frobenius is c = p, the Gamma-action is
 c = chi(gamma).  Powers of u = (1+x)^c - 1 are cached per (ring, nx, c) since
-every order-by-order solve replays the same substitution.
+every order-by-order solve replays the same substitution, and each series
+keeps its own substitution results, so a series substituted twice (by the
+solver and by the re-verification of the same module) is substituted once.
 """
 from __future__ import annotations
 
@@ -121,10 +123,11 @@ class PadicSeries:
     Stored as integers: ``planes[s][j]`` is digit s (the pi^s part) of the
     x^j coefficient, in the canonical form PadicElt holds, and ``caps[j]`` is
     that coefficient's pi-adic cap.  ``coeff``, ``eval0`` and ``coeffs`` build
-    PadicElt values on demand.
+    PadicElt values on demand.  The valuations, the support and the results
+    of `substitute_onepx_power` are computed once per series.
     """
 
-    __slots__ = ("params", "nx", "planes", "caps", "_vals", "_supp")
+    __slots__ = ("params", "nx", "planes", "caps", "_vals", "_supp", "_subs")
 
     def __init__(self, params: PadicParams, coeffs: Iterable[PadicElt], nx: int):
         if nx < 1:
@@ -146,6 +149,7 @@ class PadicSeries:
         object.__setattr__(self, "caps", caps)
         object.__setattr__(self, "_vals", None)
         object.__setattr__(self, "_supp", supp)
+        object.__setattr__(self, "_subs", None)
 
     @classmethod
     def _make(cls, params: PadicParams, planes, caps, supp=None) -> "PadicSeries":
@@ -565,16 +569,30 @@ def _subst_table(params: PadicParams, nx: int, key):
 def substitute_onepx_power(f: PadicSeries, c: int | PadicElt) -> PadicSeries:
     """f((1+x)^c - 1), for an integer or p-adic exponent c.
 
-    An integer matrix-vector product: the x^k coefficient is
-    sum_{i<=k} f_i [x^k] u^i, with i below the support of f.
+    Computed once per series and exponent: the result is kept on f.
     """
     if isinstance(c, PadicElt) and c.params != f.params:
         raise ParamMismatch("exponent lives over a different ring")
+    if f._subs is None:
+        object.__setattr__(f, "_subs", {})
+    key = _exponent_key(c)
+    out = f._subs.get(key)
+    if out is None:
+        out = f._subs[key] = _substitute(f, key)
+    return out
+
+
+def _substitute(f: PadicSeries, key) -> PadicSeries:
+    """f((1+x)^c - 1) for the exponent of `_exponent_key` key.
+
+    An integer matrix-vector product: the x^k coefficient is
+    sum_{i<=k} f_i [x^k] u^i, with i below the support of f.
+    """
     params, n = f.params, f.nx
     prec, s = params.prec_pi, f._support()
     if not s:
         return PadicSeries.zero(params, n)
-    planes, caps, vals, least_cap = _subst_table(params, n, _exponent_key(c))
+    planes, caps, vals, least_cap = _subst_table(params, n, key)
 
     raw = _ring_product(
         params, [pl[:s] for pl in f.planes], planes,

@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from operator import add, mod
+from operator import mul
 from pathlib import Path
 
 from .errors import (
@@ -45,15 +45,12 @@ from .padics import (
     PadicParams,
     _canon,
     _pi_div_digits,
-    _ring_mul,
     _valpi_or_cap,
 )
 from .series import (
     Mat2,
     MatrixSeries,
     PadicSeries,
-    _ring_product,
-    _scalar,
     cyclotomic_q,
     div_distinguished,
     mat_frobenius,
@@ -162,7 +159,9 @@ def _run_axiom_checks(w: WachData) -> AxiomReport:
     det_unit_ok = _det_is_unit_times_qpow(w)
 
     p0 = w.P.eval0()
-    q = PadicElt.from_int(params, params.p ** (k - 1))
+    # p^(k-1) is zero at cap once k - 1 reaches ceil(prec_pi / e): a weight read
+    # from a file may be far larger than any power worth forming
+    q = PadicElt.from_int(params, params.p ** min(k - 1, -(-params.prec_pi // e)))
     charpoly_ok = (p0.trace() - w.a_p).is_zero_at_cap() and (
         p0.det() - q
     ).is_zero_at_cap()
@@ -181,6 +180,8 @@ def _det_is_unit_times_qpow(w: WachData) -> bool:
     """det(P) = u * Q^(k-1) with u a unit of the series ring."""
     params, k = w.params, w.k
     d = (params.p - 1) * (w.k - 1)
+    if d >= w.nx:   # Q^(k-1) is truncated below its degree: no division
+        return False
     det = w.P.det()
     qpow = cyclotomic_q(params, w.nx) ** (k - 1)
     try:
@@ -286,6 +287,12 @@ def _solve_order_low(
 # final cap, through PadicParams.digit_tables: a partial result reduced at its
 # own, larger cap differs from it by a multiple of the final modulus, so the
 # digits and caps are those of the Mat2/MatrixSeries arithmetic.
+#
+# Multiplication by a constant of O_E is linear on digits: x y has the digits
+# M_x y for the e x e integer matrix M_x of `_mul_matrix`.  So the contraction
+# runs on the flat digit vector of a 2x2 matrix (its entries row-major, e
+# digits each), and S |-> P0 S and X |-> X adj(P0) are 4e x 4e integer
+# matrices built once per solve.
 
 def _triple(params: PadicParams, raw, cap: int) -> tuple[list[int], int, int]:
     ds = _canon(params, raw, cap)
@@ -300,69 +307,107 @@ def _mat2(params: PadicParams, xs) -> Mat2:
     return Mat2(*(PadicElt(params, ds, cap) for ds, cap, _ in xs))
 
 
-def _least_cap(x) -> int:
-    return min(x[0][1], x[1][1], x[2][1], x[3][1])
+def _mul_matrix(params: PadicParams, ds) -> list[list[int]]:
+    """The e x e integer matrix of y |-> x y for the element x of digits ds:
+    column t holds the digits of x pi^t, with pi^e = p folded in."""
+    e, p = params.e, params.p
+    return [[ds[r - t] if r >= t else p * ds[r - t + e] for t in range(e)] for r in range(e)]
 
 
-def _mat_mul(params: PadicParams, x, y) -> list[tuple[list[int], int]]:
-    """Unreduced digits and cap of each entry of x y (2x2 matrices of triples).
+def _product_map(m: Mat2, left: bool) -> list[list[int]]:
+    """The 4e x 4e integer matrix of X |-> m X (left) or X |-> X m on flat digit vectors."""
+    params = m.a.params
+    e = params.e
+    mults = [_mul_matrix(params, x.digits) for x in m.entries()]
+    rows = []
+    for r in (0, 1):
+        for c in (0, 1):
+            for s in range(e):
+                row = [0] * (4 * e)
+                for i in (0, 1):
+                    # (m X)[r][c] = sum_i m[r][i] X[i][c], (X m)[r][c] = sum_i X[r][i] m[i][c]
+                    src = 2 * i + c if left else 2 * r + i
+                    mult = mults[2 * r + i] if left else mults[2 * i + c]
+                    row[src * e:src * e + e] = mult[s]
+                rows.append(row)
+    return rows
+
+
+def _contraction_maps(p0: Mat2) -> tuple:
+    """S |-> P0 S and X |-> X adj(P0) as integer matrices, with the caps and
+    valpi-or-caps of the entries of P0 and adj(P0)."""
+    adj0 = p0.adj()
+    return (
+        _product_map(p0, True), _product_map(adj0, False),
+        [x.cap for x in p0.entries()], [x.valpi_or_cap() for x in p0.entries()],
+        [x.cap for x in adj0.entries()], [x.valpi_or_cap() for x in adj0.entries()],
+    )
+
+
+def _product_caps(prec: int, xc, xv, yc, yv) -> list[int]:
+    """Caps of the four entries of x y from the caps and valpi-or-caps of the
+    2x2 matrices x and y (row-major).
 
     The bounds cap_x + v(y) are skipped when x is exact, and then no valuation
     of y is read; likewise with x and y swapped.
     """
-    prec = params.prec_pi
-    xb, yb = _least_cap(x) < prec, _least_cap(y) < prec
-    out = []
-    for r in (0, 2):
-        (ad, ac, av), (bd, bc, bv) = x[r], x[r + 1]
-        for c in (0, 1):
-            (cd, cc, cv), (dd, dc, dv) = y[c], y[c + 2]
-            cap = prec
-            if xb:
-                cap = min(cap, ac + cv, bc + dv)
-            if yb:
-                cap = min(cap, cc + av, dc + bv)
-            out.append((list(map(add, _ring_mul(params, ad, cd), _ring_mul(params, bd, dd))), cap))
-    return out
+    caps = [prec] * 4
+    if min(xc) < prec:
+        caps = [min(prec, xc[r] + yv[c], xc[r + 1] + yv[c + 2]) for r in (0, 2) for c in (0, 1)]
+    if min(yc) < prec:
+        caps = [min(cap, yc[c] + xv[r], yc[c + 2] + xv[r + 1])
+                for cap, r, c in zip(caps, (0, 0, 2, 2), (0, 1, 0, 1))]
+    return caps
 
 
 def _contract(
-    params: PadicParams, p0, adj0, c, k: int, j: int, not_divisible, diverged
+    params: PadicParams, maps, c, k: int, j: int, not_divisible, diverged
 ) -> list:
     """Solve S P0 - p^j P0 S = C for j >= k by the contraction
-    S = R0 + p^(j-k+1) P0 S adj(P0), R0 = C adj(P0) / p^(k-1), on triples.
+    S = R0 + p^(j-k+1) P0 S adj(P0), R0 = C adj(P0) / p^(k-1).
 
-    The sweep stops when S repeats, digits and caps alike.
+    ``maps`` is `_contraction_maps(P0)` and ``c`` four triples.  A sweep is
+    two integer matrix-vector products on the flat digit vector of S; it stops
+    when S repeats, digits and caps alike.
     """
-    prec, t = params.prec_pi, params.e * (k - 1)
+    left, right, p0c, p0v, adjc, adjv = maps
+    e, prec, t = params.e, params.prec_pi, params.e * (k - 1)
+    moduli = params.digit_tables[0]
+    starts = range(0, 4 * e, e)
     # the sweep's bounds read valuations of S and P0 S only when P0 (whose caps
     # adj(P0) shares) is inexact
-    exact = _least_cap(p0) >= prec
+    exact = min(p0c) >= prec
 
-    def triple(ds, cap: int):
-        return ds, cap, None if exact else _valpi_or_cap(params, ds, cap)
+    def vals(ds, caps):
+        if exact:
+            return None
+        return [_valpi_or_cap(params, ds[i:i + e], cap) for i, cap in zip(starts, caps)]
 
-    r0 = []
-    for raw, cap in _mat_mul(params, c, adj0):
+    flat = [x for ds, _, _ in c for x in ds]
+    raw = [sum(map(mul, row, flat)) for row in right]
+    caps = _product_caps(prec, [x[1] for x in c], [x[2] for x in c], adjc, adjv)
+    r0d, r0c = [], [cap - t for cap in caps]
+    for i, cap in zip(starts, caps):
         try:
-            ds = _pi_div_digits(params, _canon(params, raw, cap), cap, t)
+            r0d += _pi_div_digits(params, _canon(params, raw[i:i + e], cap), cap, t)
         except InexactDivision as exc:
             raise not_divisible(j, exc) from exc
-        r0.append(triple(ds, cap - t))
     pt, et = params.p ** (j - k + 1), params.e * (j - k + 1)
     sweeps = prec + 2
-    s = r0
+    sd, sc, sv = r0d, r0c, vals(r0d, r0c)
     for _ in range(sweeps):
         # P0 S feeds only the next product, reduced at its own smaller cap
-        ps = [triple(raw, cap) for raw, cap in _mat_mul(params, p0, s)]
+        ps = [sum(map(mul, row, sd)) for row in left]
+        psc = _product_caps(prec, p0c, p0v, sc, sv)
+        u = [sum(map(mul, row, ps)) for row in right]
         # R0's cap is below prec_pi, so the scale cap needs no prec_pi bound
-        s_next = []
-        for (rd, rc, _), (ud, uc) in zip(r0, _mat_mul(params, ps, adj0)):
-            cap = min(rc, uc + et)
-            s_next.append(triple(_canon(params, [a + pt * b for a, b in zip(rd, ud)], cap), cap))
-        if s_next == s:
-            return [_triple(params, ds, cap) for ds, cap, _ in s]
-        s = s_next
+        caps = [rc if rc < uc + et else uc + et
+                for rc, uc in zip(r0c, _product_caps(prec, psc, vals(ps, psc), adjc, adjv))]
+        mods = [m[cap] for cap in caps for m in moduli]
+        ds = [(a + pt * b) % m for a, b, m in zip(r0d, u, mods)]
+        if ds == sd and caps == sc:
+            return [_triple(params, ds[i:i + e], cap) for i, cap in zip(starts, caps)]
+        sd, sc, sv = ds, caps, vals(ds, caps)
     raise diverged(j, sweeps)
 
 
@@ -384,9 +429,9 @@ def _times_q(params: PadicParams, f: PadicSeries, qs, n: int) -> PadicSeries:
     for l, (q, vq) in enumerate(qs[:m]):
         t = min(s, m - l)
         for acc, plane in zip(raw, f.planes):
-            acc[l:l + t] = map(add, acc[l:l + t], [q * x for x in plane[:t]])
+            acc[l:l + t] = [x + q * y for x, y in zip(acc[l:l + t], plane)]
         if least + vq < prec:
-            out[l:l + t] = map(min, out[l:l + t], [cap + vq for cap in f.caps[:t]])
+            out[l:l + t] = [a if a < b + vq else b + vq for a, b in zip(out[l:l + t], f.caps)]
     return PadicSeries._reduced(params, raw, out, n)
 
 
@@ -394,39 +439,50 @@ def _add_correction(params: PadicParams, d, pq, gp, s, j: int) -> None:
     """D += x^j (PQ^j S - S gamma(P)) in place, one integer step per entry.
 
     ``d`` holds four [planes, caps] lists, ``pq`` and ``gp`` four series
-    (``pq`` cut to x-order nx - j), ``s`` four triples.  An entry's cap is the
-    min of D's cap and the two bounds of each of its four product caps; D's
-    caps are at most prec_pi, so that third bound never binds.  A product
-    reaches only as far as its series' support, and D is left as it is beyond
-    the longest one.
+    (``pq`` cut to x-order nx - j), ``s`` four triples.  The support,
+    valuations, least valuation and least cap of each series are read once.
+    An entry's digits are its four scalar products, each over its series'
+    support, summed onto D's and reduced once; its cap is the min of D's cap
+    and the bounds cap_f + v(s), cap_s + v(f) of its products, each skipped
+    when its least value reaches prec_pi.  D's caps are at most prec_pi, so
+    the third product bound never binds.  D is left as it is beyond the
+    longest support of an entry's series.
     """
     moduli, prec = params.digit_tables[0], params.prec_pi
     n = len(d[0][1]) - j
-    neg = [([-x for x in ds], cap, v) for ds, cap, v in s]
+    fs = []   # per series: support below n, digit planes, valuations, caps, least of each
+    for f in (*pq, *gp):
+        m = min(f._support(), n)
+        if m:
+            vals = f._valuations()
+            fs.append((m, f.planes, vals, f.caps, min(vals), min(f.caps)))
+        else:
+            fs.append(None)
+    xs = [(_mul_matrix(params, ds), cap, v) for ds, cap, v in s]
     for r in (0, 2):
         for c in (0, 1):
-            terms = [(f, min(f._support(), n), x) for f, x in (
-                (pq[r], s[c]), (pq[r + 1], s[c + 2]), (gp[c], neg[r]), (gp[c + 2], neg[r + 1]),
-            )]
-            h = max(m for _, m, _ in terms)
-            if not h:
+            terms = [(f, x, sign) for f, x, sign in (
+                (fs[r], xs[c], 1), (fs[r + 1], xs[c + 2], 1),
+                (fs[4 + c], xs[r], -1), (fs[6 + c], xs[r + 1], -1),
+            ) if f]
+            if not terms:
                 continue
+            h = max([f[0] for f, _, _ in terms])
             planes, caps = d[r + c]
-            raw = [plane[j:j + h] for plane in planes]
             new_caps = caps[j:j + h]
-            for f, m, (ds, cap, v) in terms:
-                if not m:
-                    continue
-                prod = _ring_product(params, [pl[:m] for pl in f.planes], ds, _scalar)
-                for acc, z in zip(raw, prod):
-                    acc[:m] = map(add, acc[:m], z)
-                fv, fc = f._valuations()[:m], f.caps[:m]
-                if min(fv) + cap < prec:
-                    new_caps[:m] = map(min, new_caps[:m], [x + cap for x in fv])
-                if min(fc) + v < prec:
-                    new_caps[:m] = map(min, new_caps[:m], [x + v for x in fc])
-            for plane, a, mods in zip(planes, raw, moduli):
-                plane[j:j + h] = map(mod, a, map(mods.__getitem__, new_caps))
+            for (m, _, fv, fc, least_v, least_c), (_, cap, v), _ in terms:
+                if least_v + cap < prec:
+                    new_caps[:m] = [a if a < b + cap else b + cap for a, b in zip(new_caps, fv[:m])]
+                if least_c + v < prec:
+                    new_caps[:m] = [a if a < b + v else b + v for a, b in zip(new_caps, fc[:m])]
+            for so, (plane, mods) in enumerate(zip(planes, moduli)):
+                acc = plane[j:j + h]
+                for (m, fp, *_), (mult, _, _), sign in terms:
+                    for t, a in enumerate(mult[so]):
+                        if a:
+                            a *= sign
+                            acc[:m] = [x + a * y for x, y in zip(acc, fp[t][:m])]
+                plane[j:j + h] = [x % mods[cap] for x, cap in zip(acc, new_caps)]
             caps[j:j + h] = new_caps
 
 
@@ -454,17 +510,18 @@ def _solve_orders(
     product has cap min(cap_x + v(y), cap_y + v(x), prec_pi), a sum the min of
     the caps, p^t x the cap min(cap_x + e t, prec_pi).  D is held as digit
     lists plus caps and updated in place by `_add_correction`, the running
-    product P Q^j by `_times_q`, and P0, adj(P0) are triples prepared once per
-    call.  Only the low-order solve and the returned S_j are PadicElt values.
+    product P Q^j by `_times_q`, and the maps S |-> P0 S, X |-> X adj(P0) of
+    `_contract` are built once per call.  Only the low-order solve works on
+    PadicElt values.
     """
     params, nx, e = P.params, P.nx, P.params.e
-    p0m = P.eval0()
-    p0, adj0 = _triples(p0m), _triples(p0m.adj())
+    maps = _contraction_maps(P.eval0())
     q = cyclotomic_q(params, nx)
     qs = list(zip(q.planes[0], q._valuations()))[: params.p]
     pq, gp = P.entries(), gamma_p.entries()
     d = [[list(map(list, f.planes)), list(f.caps)] for f in defect.entries()]
-    mats = [Mat2.zero(params)] * nx
+    # the correction sum_j x^j S_j, entry by entry as digit planes and caps
+    corr = [[[[0] * nx for _ in range(e)], [params.prec_pi] * nx] for _ in range(4)]
     log: list[tuple[int, Fraction]] = []
     for j in range(1, nx):
         # P Q^j; after the shift by x^j only x-orders below nx - j count
@@ -478,15 +535,20 @@ def _solve_orders(
         if j < k:
             s = _triples(solve_low(j, _mat2(params, c)))
         else:
-            s = _contract(params, p0, adj0, c, k, j, not_divisible, diverged)
+            s = _contract(params, maps, c, k, j, not_divisible, diverged)
         log.append((j, Fraction(min(v for _, _, v in s), e)))
-        mats[j] = _mat2(params, s)
+        for (planes, caps), (ds, cap, _) in zip(corr, s):
+            for plane, x in zip(planes, ds):
+                plane[j] = x
+            caps[j] = cap
         _add_correction(params, d, pq, gp, s, j)
         if any(pl[j] for planes, _ in d for pl in planes):
             raise PrecisionExhausted(f"order {j}: correction failed to close")
     if any(any(pl) for planes, _ in d for pl in planes):
         raise PrecisionExhausted("corrected pair still has visible defect")
-    return G + MatrixSeries.from_mats(params, mats, nx), tuple(log)
+    return G + MatrixSeries(*(
+        PadicSeries._make(params, tuple(map(tuple, planes)), tuple(caps)) for planes, caps in corr
+    )), tuple(log)
 
 
 def seed_companion(
@@ -518,6 +580,12 @@ def seed_companion(
     )
     w = WachData(params=params, k=k, a_p=a_p, chi_gamma=chi_gamma, P=P, G=G)
     report = check_axioms(w)
+    if report.commutation_ok and not report.det_unit_ok:
+        d = (params.p - 1) * (k - 1)
+        raise PrecisionExhausted(
+            "seed construction did not re-verify: det(P) is not a unit times Q^(k-1) "
+            f"at x-precision {nx}; raise the x-precision (--prec-x) above (p-1)(k-1) = {d}"
+        )
     if not report.ok:
         raise PrecisionExhausted(
             "seed construction did not re-verify; raise the working precision "
@@ -571,7 +639,7 @@ def save_wach(w: WachData, path: str | Path) -> None:
 def _req_int(obj: dict, key: str) -> int:
     try:
         return int(obj[key])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:   # int(inf) overflows
         raise MalformedFile(f"field {key!r} missing or not an integer string") from exc
 
 
@@ -580,7 +648,7 @@ def _elt_digits(obj, params: PadicParams, where: str) -> tuple[list[int], int]:
     try:
         digits = [int(d) for d in obj["digits"]]
         cap = int(obj["cap"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:   # int(inf) overflows
         raise MalformedFile(f"{where}: bad element encoding") from exc
     if len(digits) != params.e:
         raise MalformedFile(f"{where}: expected {params.e} digits, got {len(digits)}")

@@ -17,7 +17,9 @@ from wachdeform.cli import main
 from wachdeform.deform import alpha, deform_trace, deformation_bound
 from wachdeform.errors import BoundViolated
 from wachdeform.padics import MAX_PREC_PI, PadicElt, PadicParams, vp
-from wachdeform.wach import seed_companion
+from wachdeform.wach import check_axioms, load_wach, save_wach, seed_companion
+
+from test_wach import JUNK, mutated_text
 
 
 def run(*argv, capsys=None):
@@ -117,6 +119,27 @@ def test_verify_wrong_version_tag(tmp_path):
     assert main(["verify", "--in", str(path)]) == 5
 
 
+SMALL_SEED = ["seed", "--p", "3", "--k", "2", "--ap", "3", "--prec-pi", "12", "--prec-x", "8"]
+
+
+@pytest.mark.parametrize("old, new", [
+    ('"cap": "12"', '"cap": 1e999'),          # an element's cap
+    ('"digits": [\n      "1"', '"digits": [\n      Infinity'),   # the first digit, of G(0)
+    ('"k": "2"', '"k": 1e999'),               # the header
+])
+def test_verify_non_finite_number_is_malformed(tmp_path, capsys, old, new):
+    # int(float('inf')) raises OverflowError, which once escaped the loader
+    path = tmp_path / "mod.json"
+    assert main(SMALL_SEED + ["--out", str(path)]) == 0
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("input: ") and err.count("\n") == 1
+
+
 def test_seed_singular_point_exit_code():
     # k = 4, a_p = 3: the order-1 linear system has no integral solution
     assert main(["seed", "--p", "3", "--k", "4", "--ap", "3"]) == 4
@@ -153,6 +176,17 @@ def test_deform_bound_ok_then_seed_singular():
     # seeding stage and reports the singular system honestly
     assert main(["deform", "--p", "3", "--k", "4", "--ap", "3",
                  "--ap-new", "84", "--m", "1"]) == 4
+
+
+def test_seed_failing_det_check_names_prec_x(capsys):
+    # nx = 3 is below the degree (p-1)(k-1) = 6 of Q^(k-1): only the det check
+    # fails, and the advice once named the pi-adic precision
+    assert main(["deform", "--p", "3", "--k", "4", "--ap", "0", "--ap-new", "0",
+                 "--m", "1", "--prec-x", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "det(P) is not a unit times Q^(k-1) at x-precision 3" in err
+    assert "--prec-x" in err and "(p-1)(k-1) = 6" in err
 
 
 def test_deform_underfloor_precision_refused():
@@ -462,6 +496,29 @@ def test_fuzzed_arguments_end_in_an_exit_code(argv):
             return
     assert code in range(6), argv
     assert err.getvalue().count("\n") <= 1, argv
+
+
+STORED = [seed_companion(params, 2, PadicElt.from_int(params, 3), 2, nx)
+          for params, nx in ((PadicParams(3, 1, 12), 8), (PadicParams(3, 2, 10), 6))]
+HUGE = st.sampled_from([float("inf"), float("-inf"), float("nan"), 10**400, -10**400,
+                        "1" + "0" * 400, [10**400], {"cap": 10**400, "digits": ["1"]}])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fuzzed_module_file_ends_in_an_exit_code(tmp_path_factory, data):
+    # verify only: no worker pool starts
+    w = data.draw(st.sampled_from(STORED))
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    save_wach(w, path)
+    path.write_text(data.draw(mutated_text(path.read_text(), st.one_of(JUNK, HUGE))))
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--in", str(path)])
+    assert time.perf_counter() - t0 < 1.0
+    assert err.getvalue().count("\n") <= 1
+    assert code in (1, 5) or (code == 0 and check_axioms(load_wach(path)).ok)
 
 
 @pytest.mark.parametrize("jobs, points, cpus, size", [

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from wachdeform.errors import (
     SlopesNotDistinct,
     ValuationFloorUnreachable,
 )
+from wachdeform import series
 from wachdeform.padics import MAX_PREC_PI, PadicElt, PadicParams, val
 from wachdeform.series import Mat2, MatrixSeries, mat_gamma
 from wachdeform.wach import check_axioms, default_nx, seed_companion
@@ -115,6 +117,13 @@ def test_default_chi_smallest_generator():
     assert default_chi(5) == 2
     assert default_chi(7) == 3
     assert is_generator(7, 3) and not is_generator(7, 2)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 4, 9])
+def test_is_generator_refuses_non_prime(p):
+    # p = 0 once raised ZeroDivisionError from chi mod p
+    with pytest.raises(DomainError, match=f"p must be an odd prime, got {p}"):
+        is_generator(p, 2)
 
 
 # --------------------------------------------------------------------------- #
@@ -578,6 +587,27 @@ def test_deform_weight2_desk_run():
     assert (p0.trace() - elt(30)).is_zero_at_cap()
     assert (p0.det() - elt(3)).is_zero_at_cap()
     assert check_axioms(wp).ok
+
+
+def test_deform_substitutes_each_series_once(monkeypatch):
+    # the seed's gamma(P) serves the solver and its re-verification, the seed's
+    # phi(G) its re-verification and correct_gamma, gamma(P') correct_gamma and
+    # the deformed module's re-verification: each is computed once
+    computed = []   # holds each series, so no id is reused
+    real = series._substitute
+
+    def spy(f, key):
+        computed.append((f, key))
+        return real(f, key)
+
+    monkeypatch.setattr(series, "_substitute", spy)
+    w = seed_k2()
+    wp, cert = deform_trace(w, elt(30), 1)
+    assert cert.ok
+    counts = Counter((id(f), key) for f, key in computed)
+    assert max(counts.values()) == 1
+    for m, c in ((w.P, 2), (w.G, 3), (wp.P, 2)):
+        assert all(counts[id(f), ("int", c)] == 1 for f in m.entries())
 
 
 def test_deform_bound_refused():

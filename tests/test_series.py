@@ -580,6 +580,22 @@ def test_support_mul_matches_full_length_kernel(fg):
     assert kernel_view(g * f) == kernel_view(ref_kernel_mul(g, f))
 
 
+@settings(max_examples=100, deadline=None)
+@given(tailed_pair(), st.integers(-3, 9), st.integers(0, 80), st.integers(4, 9))
+def test_cached_substitution_equals_fresh(fg, c_int, c_lift, c_cap):
+    f = fg[0]
+
+    def exponents():   # an equal exponent built anew hits the same entry
+        return (c_int, PadicElt.from_int(f.params, c_lift, c_cap))
+
+    first = [substitute_onepx_power(f, c) for c in exponents()]
+    again = [substitute_onepx_power(f, c) for c in exponents()]
+    copy = PadicSeries._make(f.params, f.planes, f.caps)   # equal to f, nothing cached
+    fresh = [substitute_onepx_power(copy, c) for c in exponents()]
+    assert all(a is b for a, b in zip(again, first))
+    assert [kernel_view(x) for x in first] == [kernel_view(x) for x in fresh]
+
+
 @settings(max_examples=150, deadline=None)
 @given(tailed_pair(), st.integers(-3, 9), st.integers(0, 80), st.integers(4, 9))
 @example((PadicSeries(P9, [BIND], 3), None), 2, 0, 9)
