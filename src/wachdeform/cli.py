@@ -30,6 +30,7 @@ from pathlib import Path
 
 from .deform import (
     alpha,
+    alpha_floor,
     converse_bound,
     default_chi,
     deform_trace,
@@ -39,6 +40,7 @@ from .deform import (
 )
 from .errors import (
     BoundViolated,
+    DomainError,
     MalformedFile,
     PreconditionFails,
     PrecisionExhausted,
@@ -97,8 +99,10 @@ def _write_json(path: str, obj) -> None:
 
 def cmd_seed(args) -> int:
     chi = args.chi_gamma or default_chi(args.p)
-    table = alpha(args.p, max(args.k - 1, 1), chi)
-    params, nx = _resolve_precisions(args, args.k, Fraction(1), table.value(args.k - 1))
+    ak1 = alpha_floor(args.p, max(args.k - 1, 1), chi)   # p and chi are refused first
+    if args.k < 2:
+        raise DomainError(f"weight must be >= 2, got {args.k}")
+    params, nx = _resolve_precisions(args, args.k, Fraction(1), ak1)
     w = seed_companion(params, args.k, _elt_from_rational(params, args.ap), chi, nx)
     report = check_axioms(w)
     print(
@@ -125,8 +129,7 @@ def cmd_deform(args) -> int:
     p, e, k = args.p, args.e, args.k
     chi = args.chi_gamma or default_chi(p)
     m = args.m
-    table = alpha(p, k - 1, chi)
-    ak1 = table.value(k - 1)
+    ak1 = alpha_floor(p, k - 1, chi)
 
     # bound check on exact rationals BEFORE any seeding work
     eps = args.ap_new - args.ap
@@ -191,7 +194,7 @@ def _scan_point(payload: tuple) -> tuple[int, list[str]]:
     (index, p, e, k, ap_str, m_str, chi, prec_pi, nx, seed) = payload
     ap = Fraction(ap_str)
     m = Fraction(m_str)
-    table = alpha(p, max(k - 1, 1), chi)
+    table = alpha(p, k - 1, chi)
     ak1 = table.value(k - 1)
 
     if ap == 0:
@@ -254,8 +257,7 @@ def cmd_scan(args) -> int:
     grid = [(k, ap) for k in range(k_lo, k_hi + 1) for ap in ap_list]
     payloads = []
     for index, (k, ap) in enumerate(grid):
-        ak1 = alpha(p, k - 1, chi).value(k - 1)
-        params, nx = _resolve_precisions(args, k, m, ak1)
+        params, nx = _resolve_precisions(args, k, m, alpha_floor(p, k - 1, chi))
         payloads.append((index, p, e, k, str(ap), str(m), chi, params.prec_pi, nx, args.seed))
 
     outdir = Path(args.out)

@@ -47,6 +47,7 @@ __all__ = [
     "AlphaTable",
     "DeformCertificate",
     "alpha",
+    "alpha_floor",
     "build_h0",
     "converse_bound",
     "correct_gamma",
@@ -119,8 +120,11 @@ def _alpha_floor_formula(p: int, r: int) -> int:
     return total
 
 
-def alpha(p: int, r: int, chi_gamma: int) -> AlphaTable:
-    """Tabulate alpha(1..r), cross-checking the product and floor formulas."""
+def alpha_floor(p: int, r: int, chi_gamma: int) -> int:
+    """alpha(r) by the floor formula, after the refusals of `alpha`; no table is built.
+
+    The value a bound or a precision budget needs, in O(log r).
+    """
     check_odd_prime(p)
     if r < 1:
         raise DomainError(f"alpha needs r >= 1, got {r}")
@@ -128,23 +132,46 @@ def alpha(p: int, r: int, chi_gamma: int) -> AlphaTable:
         raise NotAGenerator(
             f"chi(gamma) = {chi_gamma} does not topologically generate Z_{p}^x"
         )
+    return _alpha_floor_formula(p, r)
+
+
+def alpha(p: int, r: int, chi_gamma: int) -> AlphaTable:
+    """Tabulate alpha(1..r), cross-checking the product and floor formulas.
+
+    Linear in r: the product form carries chi^j mod p^L, and the floor form
+    sum_i floor(j / ((p-1) p^i)) is kept as a running sum.
+    """
+    alpha_r = alpha_floor(p, r, chi_gamma)
+    # for a generator, v(chi^j - 1) <= 1 + v_p(j) < L = 2 + floor(log_p r), so
+    # chi^j mod p^L keeps every step
+    modulus = p * p
+    while modulus <= r * p:
+        modulus *= p
+    moduli = [p - 1]   # (p-1) p^i <= r; each divides the next
+    while moduli[-1] * p <= r:
+        moduli.append(moduli[-1] * p)
     steps: list[int] = []
     values: list[int] = []
-    total = 0
+    total = floor_total = 0
     chi_pow = 1
     for j in range(1, r + 1):
-        chi_pow *= chi_gamma
+        chi_pow = chi_pow * chi_gamma % modulus
         step = vp(chi_pow - 1, p)
         total += step
         steps.append(step)
         values.append(total)
-        floor_total = _alpha_floor_formula(p, j)
+        for mod in moduli:   # floor(j / mod) grows by one exactly when mod | j
+            if j % mod:
+                break
+            floor_total += 1
         if floor_total != total:
             raise DomainError(
                 f"alpha({j}) mismatch: product form {total}, floor form {floor_total}"
             )
-        if Fraction(total) > Fraction(j * p, (p - 1) ** 2):
+        if total * (p - 1) ** 2 > j * p:
             raise DomainError(f"alpha({j}) = {total} exceeds {j}p/(p-1)^2")
+    if total != alpha_r:
+        raise DomainError(f"alpha({r}) mismatch: product form {total}, floor form {alpha_r}")
     return AlphaTable(p=p, chi_gamma=chi_gamma, steps=tuple(steps), values=tuple(values))
 
 
@@ -484,8 +511,7 @@ def deform_trace(
     params = w.params
     m = _as_level(m, params.e)
     k, chi = w.k, w.chi_gamma
-    table = alpha(params.p, k - 1, chi)
-    alpha_k1 = table.value(k - 1)
+    alpha_k1 = alpha_floor(params.p, k - 1, chi)   # the bound needs no table
 
     eps = ap_new - w.a_p
     v_ap = w.a_p.valpi()
@@ -510,6 +536,7 @@ def deform_trace(
 
     floor = Fraction(alpha_k1) + m
     h0 = build_h0(w.P.eval0(), eps, floor)
+    table = alpha(params.p, k - 1, chi)
     h = extend_h(h0, w.G, k, m, table)
     pp = w.P + h * w.P
     gp, log = correct_gamma(pp, w.G, k, chi)

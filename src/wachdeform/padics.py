@@ -295,6 +295,8 @@ class PadicElt:
         if t == 0:
             return self
         cap = min(self.cap + t, self.params.prec_pi)
+        if t >= cap:   # pi^t x vanishes at its cap: p^t is never formed
+            return PadicElt.zero(self.params, cap)
         return PadicElt(self.params, _pi_shift(self.params, self.digits, t), cap)
 
     def pi_div_exact(self, t: int) -> "PadicElt":
@@ -617,15 +619,17 @@ def teichmuller_decompose(x: PadicElt) -> tuple[int, PadicElt, PadicElt]:
 # --------------------------------------------------------------------------- #
 
 def _unit_power_sum(params: PadicParams, z, cap: int, t: int, acc, terms) -> PadicElt:
-    """acc + sum_n u^n pi^(s_n) / c_n for z = u pi^t known at cap, integers c_n prime to p."""
+    """acc + sum_n u^n pi^(s_n) / c_n for z = u pi^t known at cap, integers c_n prime to p.
+
+    ``terms`` yields (1/c_n modulo p^ceil(cap/e), s_n).
+    """
     e = params.e
     cu = cap - t
     mod = _ppow(params.p, -(-cu // e))
     u = _pi_unshift(params, _canon(params, z, cap), t)
     un = [1] + [0] * (e - 1)
-    for c, shift in terms:
+    for inv, shift in terms:
         un = [d % mod for d in _ring_mul(params, un, u)]
-        inv = pow(c, -1, mod)
         acc = list(map(add, acc, _pi_shift(params, [d * inv for d in un], shift)))
         cap = min(cap, cu + shift)
     return PadicElt(params, acc, cap)
@@ -645,6 +649,7 @@ def plog(x: PadicElt) -> PadicElt:
         return PadicElt.zero(params, cap)
     if t < 1:
         raise OutOfConvergenceDomain(f"v(x-1) = {Fraction(t, e)} < 1/e")
+    mod = _ppow(p, -(-cap // e))
 
     def terms():
         n, width = 1, 1            # width: number of base-p digits of n
@@ -655,7 +660,7 @@ def plog(x: PadicElt) -> PadicElt:
                     f"log term {n} has valuation {Fraction(n * t - e * vn, e)}; "
                     "series leaves the integral ring"
                 )
-            yield (-1) ** (n + 1) * (n // _ppow(p, vn)), n * t - e * vn
+            yield pow((-1) ** (n + 1) * (n // _ppow(p, vn)), -1, mod), n * t - e * vn
             n += 1
             width += n == _ppow(p, width)
 
@@ -672,13 +677,17 @@ def pexp(y: PadicElt) -> PadicElt:
     if t * (p - 1) <= e:
         raise OutOfConvergenceDomain(f"v(y) = {Fraction(t, e)} <= 1/(p-1); exp diverges")
 
+    mod = _ppow(p, -(-cap // e))
+
     def terms():
-        fact_unit, vpf, n = 1, 0, 1
+        # 1/(unit part of n!) is built by small inverses, one per term: inverting
+        # the product itself would cost a full-size inverse each (cubic in cap)
+        fact_inv, vpf, n = 1, 0, 1
         while n * (t * (p - 1) - e) + e < cap * (p - 1):
             vn = vp(n, p)
             vpf += vn
-            fact_unit = fact_unit * (n // _ppow(p, vn)) % _ppow(p, -(-cap // e))
-            yield fact_unit, n * t - e * vpf
+            fact_inv = fact_inv * pow(n // _ppow(p, vn), -1, mod) % mod
+            yield fact_inv, n * t - e * vpf
             n += 1
 
     return _unit_power_sum(params, y.digits, cap, t, [1] + [0] * (e - 1), terms())

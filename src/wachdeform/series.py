@@ -2,18 +2,19 @@
 
 A series is known modulo x^nx with per-coefficient pi-adic caps; nothing is
 ever claimed past either truncation.  The substitutions that matter are all
-of the shape f(x) |-> f((1+x)^c - 1): Frobenius is c = p, the Gamma-action is
-c = chi(gamma).  Powers of u = (1+x)^c - 1 are cached per (ring, nx, c) since
+of the shape f(x) |-> f((1+x)^c - 1) for an integer c: Frobenius is c = p, the
+Gamma-action is c = chi(gamma).  The powers of u = (1+x)^c - 1 have integer
+coefficients, so their table is exact; it is cached per (ring, nx, c) since
 every order-by-order solve replays the same substitution, and each series
 keeps its own substitution results, so a series substituted twice (by the
 solver and by the re-verification of the same module) is substituted once.
+`Mat2` (over elements) and `MatrixSeries` (over series) share one 2x2 algebra.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from operator import add, mod, mul, neg, sub
 from typing import Iterable, Sequence
 
@@ -22,16 +23,13 @@ from .errors import (
     ParamMismatch,
     PrecisionExhausted,
 )
-from .padics import PadicElt, PadicParams, _canon, _valpi_or_cap, _valpi_or_caps, binom_coeffs
+from .padics import PadicElt, PadicParams, _canon, _valpi_or_cap, _valpi_or_caps
 
 __all__ = [
     "PadicSeries",
     "Mat2",
     "MatrixSeries",
     "substitute_onepx_power",
-    "frobenius",
-    "gamma_act",
-    "mat_substitute",
     "mat_frobenius",
     "mat_gamma",
     "cyclotomic_q",
@@ -316,11 +314,49 @@ class PadicSeries:
 
 
 # --------------------------------------------------------------------------- #
-# constant 2x2 matrices
+# 2x2 matrices: one algebra over elements and over series
 # --------------------------------------------------------------------------- #
 
+class _Mat2Algebra:
+    """2x2 matrix algebra written through ``entries()`` (row-major a b / c d).
+
+    The entries need only + - * and ``is_zero_at_cap``; results are built by
+    the subclass's own constructor from four entries.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, o):
+        return type(self)(*map(add, self.entries(), o.entries()))
+
+    def __sub__(self, o):
+        return type(self)(*map(sub, self.entries(), o.entries()))
+
+    def __neg__(self):
+        return type(self)(*map(neg, self.entries()))
+
+    def __mul__(self, o):
+        a, b, c, d = self.entries()
+        w, x, y, z = o.entries()
+        return type(self)(a * w + b * y, a * x + b * z, c * w + d * y, c * x + d * z)
+
+    def det(self):
+        a, b, c, d = self.entries()
+        return a * d - b * c
+
+    def adj(self):
+        a, b, c, d = self.entries()
+        return type(self)(d, -b, -c, a)
+
+    def is_zero_at_cap(self) -> bool:
+        return all(x.is_zero_at_cap() for x in self.entries())
+
+    def same_at_cap(self, other) -> bool:
+        return (self - other).is_zero_at_cap()
+
+
 @dataclass(frozen=True)
-class Mat2:
+class Mat2(_Mat2Algebra):
     """2x2 matrix of ring elements; row-major (a b / c d)."""
 
     a: PadicElt
@@ -341,37 +377,8 @@ class Mat2:
     def entries(self) -> tuple[PadicElt, PadicElt, PadicElt, PadicElt]:
         return (self.a, self.b, self.c, self.d)
 
-    def __add__(self, o: "Mat2") -> "Mat2":
-        return Mat2(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
-
-    def __sub__(self, o: "Mat2") -> "Mat2":
-        return Mat2(self.a - o.a, self.b - o.b, self.c - o.c, self.d - o.d)
-
-    def __neg__(self) -> "Mat2":
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
-
-    def __mul__(self, o: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * o.a + self.b * o.c,
-            self.a * o.b + self.b * o.d,
-            self.c * o.a + self.d * o.c,
-            self.c * o.b + self.d * o.d,
-        )
-
-    def det(self) -> PadicElt:
-        return self.a * self.d - self.b * self.c
-
     def trace(self) -> PadicElt:
         return self.a + self.d
-
-    def adj(self) -> "Mat2":
-        return Mat2(self.d, -self.b, -self.c, self.a)
-
-    def is_zero_at_cap(self) -> bool:
-        return all(x.is_zero_at_cap() for x in self.entries())
-
-    def same_at_cap(self, other: "Mat2") -> bool:
-        return (self - other).is_zero_at_cap()
 
     def min_val_or_cap(self) -> int:
         return min(x.valpi_or_cap() for x in self.entries())
@@ -380,11 +387,7 @@ class Mat2:
         return min(x.cap for x in self.entries())
 
 
-# --------------------------------------------------------------------------- #
-# matrix series
-# --------------------------------------------------------------------------- #
-
-class MatrixSeries:
+class MatrixSeries(_Mat2Algebra):
     """2x2 matrix over the truncated series ring."""
 
     __slots__ = ("m11", "m12", "m21", "m22")
@@ -412,13 +415,8 @@ class MatrixSeries:
 
     @classmethod
     def from_mats(cls, params: PadicParams, mats: Sequence[Mat2], nx: int) -> "MatrixSeries":
-        def pick(sel) -> PadicSeries:
-            return PadicSeries(params, [sel(m) for m in mats], nx)
-
-        return cls(
-            pick(lambda m: m.a), pick(lambda m: m.b),
-            pick(lambda m: m.c), pick(lambda m: m.d),
-        )
+        """sum_j mats[j] x^j mod x^nx."""
+        return cls(*(PadicSeries(params, [m.entries()[i] for m in mats], nx) for i in range(4)))
 
     # -- queries --------------------------------------------------------------------
 
@@ -439,47 +437,16 @@ class MatrixSeries:
     def eval0(self) -> Mat2:
         return self.coeff(0)
 
-    def is_zero_at_cap(self) -> bool:
-        return all(s.is_zero_at_cap() for s in self.entries())
-
     def min_val_or_cap(self) -> int:
         return min(s.min_val_or_cap() for s in self.entries())
 
     def min_cap(self) -> int:
         return min(s.min_cap() for s in self.entries())
 
-    # -- algebra ---------------------------------------------------------------------
-
-    def __add__(self, o: "MatrixSeries") -> "MatrixSeries":
-        return MatrixSeries(*(a + b for a, b in zip(self.entries(), o.entries())))
-
-    def __sub__(self, o: "MatrixSeries") -> "MatrixSeries":
-        return MatrixSeries(*(a - b for a, b in zip(self.entries(), o.entries())))
-
-    def __neg__(self) -> "MatrixSeries":
-        return MatrixSeries(*(-a for a in self.entries()))
-
-    def __mul__(self, o: "MatrixSeries") -> "MatrixSeries":
-        return MatrixSeries(
-            self.m11 * o.m11 + self.m12 * o.m21,
-            self.m11 * o.m12 + self.m12 * o.m22,
-            self.m21 * o.m11 + self.m22 * o.m21,
-            self.m21 * o.m12 + self.m22 * o.m22,
-        )
-
-    def det(self) -> PadicSeries:
-        return self.m11 * self.m22 - self.m12 * self.m21
-
-    def adj(self) -> "MatrixSeries":
-        return MatrixSeries(self.m22, -self.m12, -self.m21, self.m11)
-
     # -- truncation ---------------------------------------------------------------------
 
     def reduce_nx(self, nx: int) -> "MatrixSeries":
         return MatrixSeries(*(s.reduce_nx(nx) for s in self.entries()))
-
-    def same_at_cap(self, other: "MatrixSeries") -> bool:
-        return (self - other).is_zero_at_cap()
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, MatrixSeries) and self.entries() == other.entries()
@@ -496,138 +463,84 @@ class MatrixSeries:
 # --------------------------------------------------------------------------- #
 
 def _int_binom(c: int, j: int) -> int:
-    """Exact binomial C(c, j) for any integer c (negative included)."""
-    if c >= 0:
-        return math.comb(c, j)
-    num = 1
-    for i in range(j):
-        num *= c - i
-    return num // math.factorial(j)
-
-
-def _exponent_key(c: int | PadicElt):
-    if isinstance(c, PadicElt):
-        return ("elt", c.params, c.digits, c.cap)
-    return ("int", c)
+    """Exact binomial C(c, j) for any integer c; below 0 it is (-1)^j C(j - c - 1, j)."""
+    return math.comb(c, j) if c >= 0 else (-1) ** j * math.comb(j - c - 1, j)
 
 
 @lru_cache(maxsize=48)
-def _subst_table(params: PadicParams, nx: int, key):
+def _subst_table(params: PadicParams, nx: int, c: int):
     """Columns of (u^0, ..., u^(nx-1)) for u = (1+x)^c - 1, as integers.
 
     Column k lists the x^k coefficients of u^0..u^k (u^i starts at x^i):
-    (digit planes, caps, valuations, least cap of the table).
-
-    u^i = u^(i-1) u uses only u's coefficients that are not exact zeros (at
-    most c for an integer c >= 0), whose product caps are the only ones to bind.
+    (digit plane 0, valuations).  The coefficients C(c, j) of u are integers,
+    so every power is exact: each entry is known to prec_pi, and every other
+    digit plane is zero.
     """
-    e, prec = params.e, params.prec_pi
-    if key[0] == "int":
-        base = [([_int_binom(key[1], j)] + [0] * (e - 1), prec) for j in range(1, nx)]
-    else:
-        base = binom_coeffs(PadicElt(params, list(key[2]), key[3]), nx - 1)[1:]
-    terms = []
-    for b, (ds, cap) in enumerate(base, 1):
-        ds = _canon(params, ds, cap)
-        if cap < prec or any(ds):
-            terms.append((b, ds, cap, _valpi_or_cap(params, ds, cap)))
+    prec = params.prec_pi
+    modulus = params.digit_tables[0][0][prec]
+    u = [_int_binom(c, j) % modulus for j in range(1, nx)]
+    while u and not u[-1]:   # u has degree c for an integer c >= 0
+        u.pop()
     # u^i is exactly zero below x^i: row i holds its coefficients from x^i on
-    planes = _reduce(params, [[1] + [0] * (nx - 1)] + [[0] * nx] * (e - 1), (prec,) * nx)
-    caps = (prec,) * nx
-    rows = [(planes, caps, _valpi_or_caps(params, planes, caps))]
+    rows = [[1] + [0] * (nx - 1)]
     for i in range(1, nx):
-        planes, caps, vals = rows[-1]
-        n = nx - i
-        raw = [[0] * n for _ in range(e)]
-        out = [prec] * n
-        least_cap, least_val = min(caps), min(vals)
-        for b, ds, cap, v in terms:
-            m = n - b + 1   # x^(i-1+j) times u_b lands on x^(i+j+b-1)
-            if m <= 0:
-                break
-            prod = _ring_product(params, [pl[:m] for pl in planes], ds, _scalar)
-            for acc, z in zip(raw, prod):
-                acc[b - 1:] = map(add, acc[b - 1:], z)
-            if least_cap + v < prec or least_val + cap < prec:
-                out[b - 1:] = map(min, out[b - 1:], map(add, caps[:m], repeat(v)),
-                                  map(add, vals[:m], repeat(cap)))
-        out = tuple(out)
-        planes = _reduce(params, raw, out)
-        rows.append((planes, out, _valpi_or_caps(params, planes, out)))
+        row = [t % modulus for t in _conv(rows[-1], u, nx - i)] if u else []
+        rows.append(row + [0] * (nx - i - len(row)))
 
     def columns(rows):
         # shift row i right by i; column k keeps rows 0..k, so the fill never shows
-        rows = [(0,) * i + row for i, row in enumerate(rows)]
+        rows = [(0,) * i + tuple(row) for i, row in enumerate(rows)]
         return tuple([col[: k + 1] for k, col in enumerate(zip(*rows))])
 
-    planes = tuple([columns([row[0][s] for row in rows]) for s in range(e)])
-    caps = columns([row[1] for row in rows])
-    vals = columns([row[2] for row in rows])
-    return planes, caps, vals, min(map(min, caps))
+    vals = columns([_valpi_or_caps(params, [row], (prec,) * len(row)) for row in rows])
+    return columns(rows), vals
 
 
-def substitute_onepx_power(f: PadicSeries, c: int | PadicElt) -> PadicSeries:
-    """f((1+x)^c - 1), for an integer or p-adic exponent c.
+def substitute_onepx_power(f: PadicSeries, c: int) -> PadicSeries:
+    """f((1+x)^c - 1) for an integer c.
 
     Computed once per series and exponent: the result is kept on f.
     """
-    if isinstance(c, PadicElt) and c.params != f.params:
-        raise ParamMismatch("exponent lives over a different ring")
     if f._subs is None:
         object.__setattr__(f, "_subs", {})
-    key = _exponent_key(c)
-    out = f._subs.get(key)
+    out = f._subs.get(c)
     if out is None:
-        out = f._subs[key] = _substitute(f, key)
+        out = f._subs[c] = _substitute(f, c)
     return out
 
 
-def _substitute(f: PadicSeries, key) -> PadicSeries:
-    """f((1+x)^c - 1) for the exponent of `_exponent_key` key.
+def _substitute(f: PadicSeries, c: int) -> PadicSeries:
+    """f((1+x)^c - 1), uncached.
 
     An integer matrix-vector product: the x^k coefficient is
-    sum_{i<=k} f_i [x^k] u^i, with i below the support of f.
+    sum_{i<=k} f_i [x^k] u^i, with i below the support of f.  The table is
+    exact, so a term's cap is cap(f_i) + v([x^k] u^i) alone.
     """
     params, n = f.params, f.nx
     prec, s = params.prec_pi, f._support()
     if not s:
         return PadicSeries.zero(params, n)
-    planes, caps, vals, least_cap = _subst_table(params, n, key)
+    plane, vals = _subst_table(params, n, c)
 
     raw = _ring_product(
-        params, [pl[:s] for pl in f.planes], planes,
+        params, [pl[:s] for pl in f.planes], [plane],
         lambda x, cols: [sum(map(mul, x, col)) for col in cols],
     )
-    cf, vf = f.caps[:s], f._valuations()[:s]
+    cf = f.caps[:s]
     out = [prec] * n
-    # each bound below is met by no term when its minimum reaches prec_pi
-    if min(cf) < prec:   # the table's least valuation is v(u^0_0) = 0
-        out = [min(o, min(map(add, cf, v))) for o, v in zip(out, vals)]
-    if min(vf) + least_cap < prec:
-        out = [min(o, min(map(add, vf, cc))) for o, cc in zip(out, caps)]
+    if min(cf) < prec:   # for an exact f every cap(f_i) + v reaches prec_pi
+        out = [min(prec, *map(add, cf, v)) for v in vals]
     return PadicSeries._reduced(params, raw, out)
 
 
-def frobenius(f: PadicSeries) -> PadicSeries:
-    """phi(f) = f((1+x)^p - 1)."""
-    return substitute_onepx_power(f, f.params.p)
-
-
-def gamma_act(f: PadicSeries, chi_gamma: int | PadicElt) -> PadicSeries:
-    """gamma(f) = f((1+x)^chi - 1) for the chosen generator value chi."""
-    return substitute_onepx_power(f, chi_gamma)
-
-
-def mat_substitute(m: MatrixSeries, c: int | PadicElt) -> MatrixSeries:
-    return MatrixSeries(*(substitute_onepx_power(s, c) for s in m.entries()))
-
-
 def mat_frobenius(m: MatrixSeries) -> MatrixSeries:
-    return mat_substitute(m, m.params.p)
+    """phi(m): entrywise f |-> f((1+x)^p - 1)."""
+    return MatrixSeries(*(substitute_onepx_power(s, m.params.p) for s in m.entries()))
 
 
-def mat_gamma(m: MatrixSeries, chi_gamma: int | PadicElt) -> MatrixSeries:
-    return mat_substitute(m, chi_gamma)
+def mat_gamma(m: MatrixSeries, chi_gamma: int) -> MatrixSeries:
+    """gamma(m): entrywise f |-> f((1+x)^chi - 1) for the generator value chi."""
+    return MatrixSeries(*(substitute_onepx_power(s, chi_gamma) for s in m.entries()))
 
 
 # --------------------------------------------------------------------------- #

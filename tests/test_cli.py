@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wachdeform import cli
+from wachdeform import cli, deform
 from wachdeform.cli import main
 from wachdeform.deform import alpha, deform_trace, deformation_bound
 from wachdeform.errors import BoundViolated
@@ -279,6 +279,46 @@ def test_huge_prec_pi_header_refused_fast(tmp_path, capsys):
     assert f"exceeds the maximum {MAX_PREC_PI}" in capsys.readouterr().err
 
 
+def _no_alpha_table(*args):
+    raise AssertionError("an alpha table was built")
+
+
+def test_weightstep_huge_weight_header_ends_fast(monkeypatch, tmp_path, capsys):
+    # p^(k-1) at k = 10^400 is zero at the cap and the bound takes alpha(k-1)
+    # from the floor formula, so the deformation refuses without tabulating
+    monkeypatch.setattr(deform, "alpha", _no_alpha_table)
+    path = tmp_path / "mod.json"
+    assert main(["seed", "--p", "3", "--k", "2", "--ap", "3", "--out", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    obj["k"] = 10**400
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert main(["weightstep", "--in", str(path), "--m", "1"]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("precision: cap 37 cannot certify the hypothesis v(eps) >= ")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["deform", "--p", "3", "--k", "1000000", "--ap", "3", "--ap-new", "30", "--m", "1"], 2),
+    (["seed", "--p", "3", "--k", "1000000", "--ap", "3"], 3),
+    (["scan", "--p", "3", "--k-range", "1000000:1000000", "--ap-list", "3", "--m", "1",
+      "--out", "OUT"], 3),
+])
+def test_huge_weight_refused_before_any_alpha_table(argv, code, monkeypatch, tmp_path, capsys):
+    # the bound and the precision budget take alpha(k-1) from the floor formula
+    monkeypatch.setattr(cli, "alpha", _no_alpha_table)
+    monkeypatch.setattr(deform, "alpha", _no_alpha_table)
+    argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+    t0 = time.perf_counter()
+    assert main(argv) == code
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("cmd", [
     ["seed", "--p", "3", "--k", "2", "--ap", "3"],
     ["deform", "--p", "3", "--k", "2", "--ap", "3", "--ap-new", "30", "--m", "1"],
@@ -459,7 +499,7 @@ def cli_argv(draw):
     cmd = draw(st.sampled_from(["alpha", "star", "psi", "seed", "deform"]))
     rat = st.sampled_from(["0", "1", "-1", "3", "1/3", "-3/2", "9", "x"])
     level = st.sampled_from(["-1", "0", "1/2", "1", "2"])
-    k = draw(st.integers(-1, 4))
+    k = draw(st.one_of(st.integers(-1, 4), st.integers(5, 10**6)))
     argv = [cmd, f"--p={draw(st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 9]))}"]
     if cmd == "alpha":
         argv.append(f"--r={k}")
@@ -486,6 +526,8 @@ def cli_argv(draw):
 @given(cli_argv())
 @example(["alpha", "--p=0", "--r=1"])
 @example(["star", "--p=1", "--vap=1", "--m=1"])
+@example(["alpha", "--p=3", "--r=1000000"])
+@example(["deform", "--p=3", "--k=1000000", "--ap=3", "--ap-new=30", "--m=1"])
 def test_fuzzed_arguments_end_in_an_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -504,21 +546,29 @@ HUGE = st.sampled_from([float("inf"), float("-inf"), float("nan"), 10**400, -10*
                         "1" + "0" * 400, [10**400], {"cap": 10**400, "digits": ["1"]}])
 
 
+def _timed_main(argv) -> tuple[int, str]:
+    """Exit code and stderr of one in-process run, which must end within 1 s."""
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - t0 < 1.0, argv
+    assert err.getvalue().count("\n") <= 1, argv
+    return code, err.getvalue()
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_fuzzed_module_file_ends_in_an_exit_code(tmp_path_factory, data):
-    # verify only: no worker pool starts
+    # verify and weightstep: neither starts a worker pool
     w = data.draw(st.sampled_from(STORED))
     path = tmp_path_factory.getbasetemp() / "fuzzed.json"
     save_wach(w, path)
     path.write_text(data.draw(mutated_text(path.read_text(), st.one_of(JUNK, HUGE))))
-    out, err = io.StringIO(), io.StringIO()
-    t0 = time.perf_counter()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["verify", "--in", str(path)])
-    assert time.perf_counter() - t0 < 1.0
-    assert err.getvalue().count("\n") <= 1
+    code, _ = _timed_main(["verify", "--in", str(path)])
     assert code in (1, 5) or (code == 0 and check_axioms(load_wach(path)).ok)
+    code, _ = _timed_main(["weightstep", "--in", str(path), "--m", "1"])
+    assert code in range(6)
 
 
 @pytest.mark.parametrize("jobs, points, cpus, size", [

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from wachdeform.deform import (
     alpha,
+    alpha_floor,
     build_h0,
     converse_bound,
     correct_gamma,
@@ -34,9 +35,10 @@ from wachdeform.errors import (
     PrecisionExhausted,
     SlopesNotDistinct,
     ValuationFloorUnreachable,
+    WachdeformError,
 )
 from wachdeform import series
-from wachdeform.padics import MAX_PREC_PI, PadicElt, PadicParams, val
+from wachdeform.padics import MAX_PREC_PI, PadicElt, PadicParams, val, vp
 from wachdeform.series import Mat2, MatrixSeries, mat_gamma
 from wachdeform.wach import check_axioms, default_nx, seed_companion
 
@@ -110,6 +112,27 @@ def test_alpha_argument_validation():
     t = alpha(3, 4, 2)
     with pytest.raises(DomainError):
         t.value(5)
+
+
+def test_alpha_to_large_r_equals_floor_formula():
+    # chi^j is carried mod p^L, so the table at r = 10^5 costs linear time; it is
+    # the floor formula at every j, and its steps are those of the exact powers
+    p, r = 3, 10**5
+    t = alpha(p, r, 2)
+    moduli = [(p - 1) * p**i for i in range(12) if (p - 1) * p**i <= r]
+    assert list(t.values) == [sum(j // m for m in moduli) for j in range(1, r + 1)]
+    for j in (1, 2, 6, 18, 486, 2 * 3**9, r - 1, r):
+        assert t.steps[j - 1] == vp(2**j - 1, p), j
+    assert alpha_floor(p, r, 2) == t.value(r)
+
+
+@pytest.mark.parametrize("args", [(4, 5, 2), (3, 0, 2), (3, 5, 4), (5, 5, 7)])
+def test_alpha_floor_refuses_as_alpha_does(args):
+    with pytest.raises(WachdeformError) as table:
+        alpha(*args)
+    with pytest.raises(WachdeformError) as floor:
+        alpha_floor(*args)
+    assert (type(floor.value), str(floor.value)) == (type(table.value), str(table.value))
 
 
 def test_default_chi_smallest_generator():
@@ -596,18 +619,18 @@ def test_deform_substitutes_each_series_once(monkeypatch):
     computed = []   # holds each series, so no id is reused
     real = series._substitute
 
-    def spy(f, key):
-        computed.append((f, key))
-        return real(f, key)
+    def spy(f, c):
+        computed.append((f, c))
+        return real(f, c)
 
     monkeypatch.setattr(series, "_substitute", spy)
     w = seed_k2()
     wp, cert = deform_trace(w, elt(30), 1)
     assert cert.ok
-    counts = Counter((id(f), key) for f, key in computed)
+    counts = Counter((id(f), c) for f, c in computed)
     assert max(counts.values()) == 1
     for m, c in ((w.P, 2), (w.G, 3), (wp.P, 2)):
-        assert all(counts[id(f), ("int", c)] == 1 for f in m.entries())
+        assert all(counts[id(f), c] == 1 for f in m.entries())
 
 
 def test_deform_bound_refused():

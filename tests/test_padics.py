@@ -25,6 +25,7 @@ from wachdeform.padics import (
     PadicElt,
     PadicParams,
     ScaledElt,
+    _pi_shift,
     _ppow,
     _valpi_or_cap,
     _valpi_or_caps,
@@ -635,3 +636,16 @@ def test_valpi_or_cap_matches_division_loop(case):
     assert [_valpi_or_cap(params, ds, cap) for ds, cap in elts] == want
     planes = [[ds[j] for ds, _ in elts] for j in range(params.e)]
     assert _valpi_or_caps(params, planes, [cap for _, cap in elts]) == tuple(want)
+
+
+def test_pi_mul_at_or_past_the_cap_is_zero_without_the_power():
+    # pi^t x for t >= its cap is zero there; p^t is not formed, so a shift of
+    # 10^400 returns at once
+    for params in (PadicParams(3, 1, 12), PadicParams(5, 2, 11)):
+        for x in (PadicElt.from_int(params, 7, 5), PadicElt.one(params), PadicElt.zero(params, 3)):
+            for t in range(1, 2 * params.prec_pi):
+                cap = min(x.cap + t, params.prec_pi)
+                ref = PadicElt(params, _pi_shift(params, x.digits, t), cap)
+                assert (x.pi_mul(t).digits, x.pi_mul(t).cap) == (ref.digits, ref.cap)
+            huge = x.pi_mul(10**400)
+            assert (huge.digits, huge.cap) == ((0,) * params.e, params.prec_pi)
