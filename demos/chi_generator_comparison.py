@@ -18,8 +18,8 @@ generators = [c for c in range(2, 30) if is_generator(p, c)][:4]
 print(f"first generators mod {p}^2: {generators}")
 
 for chi in generators:
-    table = alpha(p, 8, chi)
-    print(f"chi = {chi}: alpha(1..8) = {table.values}")
+    values = tuple(alpha(p, r, chi) for r in range(1, 9))
+    print(f"chi = {chi}: alpha(1..8) = {values}")
 
 print()
 for chi in generators:

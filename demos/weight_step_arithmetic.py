@@ -28,10 +28,10 @@ print("fractional slopes work too: p=3, v(a_p)=1/2 needs k >=",
 params = PadicParams(3, 1, 46)
 eps = ScaledElt(PadicElt.one(params), 16).div(
     ScaledElt(PadicElt.from_int(params, 3))).to_padic()
-table = alpha(3, 16, 2)
+alpha_16 = alpha(3, 16, 2)
 print(f"\nk=17: v(eps) = {val(eps)} against the bound "
-      f"2 v(a_p) + alpha(16) + m = {2 + table.value(16) + 1} "
-      f"(alpha(16) = {table.value(16)})")
+      f"2 v(a_p) + alpha(16) + m = {2 + alpha_16 + 1} "
+      f"(alpha(16) = {alpha_16})")
 print("certified working precision floor:", precision_floor(1, 17, 1, 10),
       "digits (= 1 + 20 + 17 + 8)")
 print("ball radius r maps to congruence level m + r:",

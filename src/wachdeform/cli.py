@@ -29,6 +29,7 @@ from functools import cache
 from pathlib import Path
 
 from .deform import (
+    _as_level,
     alpha,
     alpha_floor,
     converse_bound,
@@ -89,6 +90,12 @@ def _resolve_precisions(args, k: int, m: Fraction, alpha_k1: int) -> tuple[Padic
     return PadicParams(p, e, args.prec_pi), nx
 
 
+def _level(args) -> Fraction:
+    """--m as a congruence level, checked after the ring's own refusals of p and e."""
+    PadicParams(args.p, args.e)
+    return _as_level(args.m, args.e)
+
+
 def _write_json(path: str, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
@@ -126,9 +133,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_deform(args) -> int:
-    p, e, k = args.p, args.e, args.k
+    p, k = args.p, args.k
     chi = args.chi_gamma or default_chi(p)
-    m = args.m
     ak1 = alpha_floor(p, k - 1, chi)
 
     # bound check on exact rationals BEFORE any seeding work
@@ -136,13 +142,14 @@ def cmd_deform(args) -> int:
     if eps:
         if args.ap == 0:
             raise BoundViolated("a_p = 0 admits only the identity deformation")
-        bound = deformation_bound(vp(args.ap, p), ak1, m)
+        bound = deformation_bound(vp(args.ap, p), ak1, args.m)
         v_eps = vp(eps, p)
         if v_eps < bound:
             raise BoundViolated(
                 f"v(a_p - a'_p) = {v_eps} < 2 v(a_p) + alpha(k-1) + m = {bound}"
             )
 
+    m = _level(args)
     params, nx = _resolve_precisions(args, k, m, ak1)
     w = seed_companion(params, k, _elt_from_rational(params, args.ap), chi, nx)
     wp, cert = deform_trace(w, _elt_from_rational(params, args.ap_new), m)
@@ -159,7 +166,7 @@ def cmd_deform(args) -> int:
 
 def cmd_alpha(args) -> int:
     chi = args.chi_gamma or default_chi(args.p)
-    print(alpha(args.p, args.r, chi).value(args.r))
+    print(alpha(args.p, args.r, chi))
     return 0
 
 
@@ -191,11 +198,9 @@ def cmd_weightstep(args) -> int:
 
 def _scan_point(payload: tuple) -> tuple[int, list[str]]:
     """One grid point, built from primitives so worker processes can unpickle."""
-    (index, p, e, k, ap_str, m_str, chi, prec_pi, nx, seed) = payload
+    (index, p, e, k, ak1, ap_str, m_str, chi, prec_pi, nx, seed) = payload
     ap = Fraction(ap_str)
     m = Fraction(m_str)
-    table = alpha(p, k - 1, chi)
-    ak1 = table.value(k - 1)
 
     if ap == 0:
         ap_new = ap                          # only the identity deformation exists
@@ -208,7 +213,7 @@ def _scan_point(payload: tuple) -> tuple[int, list[str]]:
         bound_ok = vp(ap_new - ap, p) >= bound
 
     try:
-        threshold = str(converse_bound(k, m, table))
+        threshold = str(converse_bound(m, ak1))
     except PreconditionFails:
         threshold = ""
 
@@ -239,7 +244,7 @@ def _pool_size(jobs: int, points: int) -> int:
 
 
 def cmd_scan(args) -> int:
-    p, e, m = args.p, args.e, args.m
+    p, e = args.p, args.e
     if args.jobs < 1:
         raise MalformedFile(f"--jobs must be at least 1, got {args.jobs}")
     chi = args.chi_gamma or default_chi(p)
@@ -255,10 +260,13 @@ def cmd_scan(args) -> int:
         raise MalformedFile("scan needs --k-range A:B with A >= 2 and a nonempty --ap-list")
 
     grid = [(k, ap) for k in range(k_lo, k_hi + 1) for ap in ap_list]
+    ak1s = {k: alpha_floor(p, k - 1, chi) for k in range(k_lo, k_hi + 1)}
+    m = _level(args)   # before any budget or file
     payloads = []
     for index, (k, ap) in enumerate(grid):
-        params, nx = _resolve_precisions(args, k, m, alpha_floor(p, k - 1, chi))
-        payloads.append((index, p, e, k, str(ap), str(m), chi, params.prec_pi, nx, args.seed))
+        params, nx = _resolve_precisions(args, k, m, ak1s[k])
+        payloads.append((index, p, e, k, ak1s[k], str(ap), str(m), chi,
+                         params.prec_pi, nx, args.seed))
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -363,14 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_weightstep)
 
     sp = sub.add_parser("scan", help="grid of deformation runs, CSV summary")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--e", type=int, default=1)
+    _add_ring_flags(sp, with_k=False)
     sp.add_argument("--k-range", required=True, help="A:B inclusive")
     sp.add_argument("--ap-list", required=True, help="comma-separated rationals")
     sp.add_argument("--m", type=_rat, required=True)
-    sp.add_argument("--chi-gamma", type=int, default=0)
-    sp.add_argument("--prec-pi", type=int)
-    sp.add_argument("--prec-x", type=int)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--jobs", type=int, default=1,

@@ -5,8 +5,8 @@ a'_p congruent to a_p deep enough p-adically, and produces a deformed pair
 (P', G') together with a certificate recording every valuation the congruence
 argument leans on:
 
-  1. ``alpha`` tabulates the precision tax of the Gamma-recursion,
-     alpha(r) = sum_{j<=r} v(1 - chi(gamma)^j).
+  1. ``alpha`` computes the precision tax of the Gamma-recursion,
+     alpha(r) = sum_{j<=r} v(1 - chi(gamma)^j), checking it at every j <= r.
   2. ``build_h0`` finds a constant H0 with det(Id + H0) = 1 and
      Tr(H0 P(0)) = a'_p - a_p.
   3. ``extend_h`` grows H0 to a polynomial H of degree < k with
@@ -44,7 +44,6 @@ from .series import Mat2, MatrixSeries, mat_frobenius, mat_gamma
 from .wach import WachData, _solve_orders, check_axioms
 
 __all__ = [
-    "AlphaTable",
     "DeformCertificate",
     "alpha",
     "alpha_floor",
@@ -91,27 +90,6 @@ def default_chi(p: int) -> int:
     return c
 
 
-@dataclass(frozen=True)
-class AlphaTable:
-    """alpha(1..r_max) with the per-step valuations v(1 - chi^j)."""
-
-    p: int
-    chi_gamma: int
-    steps: tuple[int, ...]   # steps[j-1] = v(1 - chi^j)
-    values: tuple[int, ...]  # values[j-1] = alpha(j)
-
-    @property
-    def r_max(self) -> int:
-        return len(self.values)
-
-    def value(self, r: int) -> int:
-        if r == 0:
-            return 0
-        if not 1 <= r <= self.r_max:
-            raise DomainError(f"alpha({r}) outside tabulated range 1..{self.r_max}")
-        return self.values[r - 1]
-
-
 def _alpha_floor_formula(p: int, r: int) -> int:
     total, modulus = 0, p - 1
     while modulus <= r:
@@ -121,9 +99,9 @@ def _alpha_floor_formula(p: int, r: int) -> int:
 
 
 def alpha_floor(p: int, r: int, chi_gamma: int) -> int:
-    """alpha(r) by the floor formula, after the refusals of `alpha`; no table is built.
+    """alpha(r) by the floor formula, after the refusals of `alpha`, with no per-j check.
 
-    The value a bound or a precision budget needs, in O(log r).
+    The value a bound, a precision budget or a floor needs, in O(log r).
     """
     check_odd_prime(p)
     if r < 1:
@@ -135,11 +113,11 @@ def alpha_floor(p: int, r: int, chi_gamma: int) -> int:
     return _alpha_floor_formula(p, r)
 
 
-def alpha(p: int, r: int, chi_gamma: int) -> AlphaTable:
-    """Tabulate alpha(1..r), cross-checking the product and floor formulas.
+def alpha(p: int, r: int, chi_gamma: int) -> int:
+    """alpha(r), cross-checking the product and floor formulas at every j <= r.
 
-    Linear in r: the product form carries chi^j mod p^L, and the floor form
-    sum_i floor(j / ((p-1) p^i)) is kept as a running sum.
+    Linear time in r and constant memory: the product form carries chi^j mod
+    p^L, and the floor form sum_i floor(j / ((p-1) p^i)) is kept as a running sum.
     """
     alpha_r = alpha_floor(p, r, chi_gamma)
     # for a generator, v(chi^j - 1) <= 1 + v_p(j) < L = 2 + floor(log_p r), so
@@ -150,16 +128,11 @@ def alpha(p: int, r: int, chi_gamma: int) -> AlphaTable:
     moduli = [p - 1]   # (p-1) p^i <= r; each divides the next
     while moduli[-1] * p <= r:
         moduli.append(moduli[-1] * p)
-    steps: list[int] = []
-    values: list[int] = []
     total = floor_total = 0
     chi_pow = 1
     for j in range(1, r + 1):
         chi_pow = chi_pow * chi_gamma % modulus
-        step = vp(chi_pow - 1, p)
-        total += step
-        steps.append(step)
-        values.append(total)
+        total += vp(chi_pow - 1, p)
         for mod in moduli:   # floor(j / mod) grows by one exactly when mod | j
             if j % mod:
                 break
@@ -172,7 +145,7 @@ def alpha(p: int, r: int, chi_gamma: int) -> AlphaTable:
             raise DomainError(f"alpha({j}) = {total} exceeds {j}p/(p-1)^2")
     if total != alpha_r:
         raise DomainError(f"alpha({r}) mismatch: product form {total}, floor form {alpha_r}")
-    return AlphaTable(p=p, chi_gamma=chi_gamma, steps=tuple(steps), values=tuple(values))
+    return total
 
 
 # --------------------------------------------------------------------------- #
@@ -323,39 +296,37 @@ def build_h0(p0: Mat2, eps: PadicElt, floor: Fraction) -> Mat2:
 def extend_h(
     h0: Mat2,
     g: MatrixSeries,
-    k: int,
-    m: Fraction,
-    table: AlphaTable,
+    chi_gamma: int,
+    floors: tuple[Fraction, ...],
 ) -> MatrixSeries:
     """Grow H0 to H = H0 + x H_1 + ... + x^{k-1} H_{k-1} with HG = G gamma(H) mod x^k.
 
-    Each pass expands D = G gamma(H) - H G below x^k with H_r still zero, so
-    D[x^r] = (1 - chi^r) H_r: the division spends exactly table.steps[r-1] of
-    precision, and v(H_r) must reach its floor alpha(k-1) - alpha(r) + m.  The
-    pass over the finished H re-checks that every order of D below x^k vanishes.
+    k = len(floors), and floors[r] = alpha(k-1) - alpha(r) + m is the valuation
+    H_r must reach; floors[0] is the floor of H0.  Each pass expands
+    D = G gamma(H) - H G below x^k with H_r still zero, so D[x^r] = (1 - chi^r) H_r:
+    the division spends exactly v(1 - chi^r) of precision.  The pass over the
+    finished H re-checks that every order of D below x^k vanishes.
     """
     params = g.params
-    chi = table.chi_gamma
-    alpha_k1 = table.value(k - 1)
-    if Fraction(h0.min_val_or_cap(), params.e) < alpha_k1 + m:
+    if Fraction(h0.min_val_or_cap(), params.e) < floors[0]:
         raise ValuationFloorUnreachable(
-            f"H0 must sit above p^(alpha(k-1)+m) = p^{alpha_k1 + m}"
+            f"H0 must sit above p^(alpha(k-1)+m) = p^{floors[0]}"
         )
     if not (g.eval0() - Mat2.identity(params)).is_zero_at_cap():
         raise DomainError("gamma-matrix must be Id mod x")
 
     # D below x^k depends only on H and G below x^k; gamma(H) is taken at full
     # length, whose substitution table the ring has, and then cut
-    n = min(k, g.nx)
+    n = min(len(floors), g.nx)
     gk = g.reduce_nx(n)
     hs: list[Mat2] = [h0]
     while True:
         h = MatrixSeries.from_mats(params, hs, g.nx)
-        defect = gk * mat_gamma(h, chi).reduce_nx(n) - h.reduce_nx(n) * gk
+        defect = gk * mat_gamma(h, chi_gamma).reduce_nx(n) - h.reduce_nx(n) * gk
         r = len(hs)
         if r == n:
             break
-        divisor = PadicElt.from_int(params, 1 - chi**r)
+        divisor = PadicElt.from_int(params, 1 - chi_gamma**r)
         try:
             hr = Mat2(*(x.divide_exact(divisor) for x in defect.coeff(r).entries()))
         except InexactDivision as exc:
@@ -363,16 +334,15 @@ def extend_h(
                 f"step {r}: division by 1 - chi^{r} left the integral ring: {exc}"
             )
         hs.append(hr)
-        floor_r = Fraction(alpha_k1 - table.value(r)) + m
         got = Fraction(hr.min_val_or_cap(), params.e)
-        if Fraction(hr.min_cap(), params.e) < floor_r:
+        if Fraction(hr.min_cap(), params.e) < floors[r]:
             raise PrecisionExhausted(
                 f"step {r}: cap {Fraction(hr.min_cap(), params.e)} cannot certify "
-                f"the floor {floor_r}"
+                f"the floor {floors[r]}"
             )
-        if got < floor_r:
+        if got < floors[r]:
             raise ValuationFloorUnreachable(
-                f"step {r}: v(H_{r}) = {got} below the floor {floor_r}"
+                f"step {r}: v(H_{r}) = {got} below the floor {floors[r]}"
             )
     for j in range(n):
         if not defect.coeff(j).is_zero_at_cap():
@@ -511,7 +481,7 @@ def deform_trace(
     params = w.params
     m = _as_level(m, params.e)
     k, chi = w.k, w.chi_gamma
-    alpha_k1 = alpha_floor(params.p, k - 1, chi)   # the bound needs no table
+    alpha_k1 = alpha_floor(params.p, k - 1, chi)
 
     eps = ap_new - w.a_p
     v_ap = w.a_p.valpi()
@@ -534,10 +504,10 @@ def deform_trace(
     if not report.ok:
         raise DomainError("input module fails its axioms; refusing to deform")
 
-    floor = Fraction(alpha_k1) + m
-    h0 = build_h0(w.P.eval0(), eps, floor)
-    table = alpha(params.p, k - 1, chi)
-    h = extend_h(h0, w.G, k, m, table)
+    h_floors = tuple(alpha_k1 - _alpha_floor_formula(params.p, r) + m for r in range(k))
+    h0 = build_h0(w.P.eval0(), eps, h_floors[0])
+    alpha(params.p, k - 1, chi)   # product form against floor form at every j < k
+    h = extend_h(h0, w.G, chi, h_floors)
     pp = w.P + h * w.P
     gp, log = correct_gamma(pp, w.G, k, chi)
 
@@ -546,9 +516,6 @@ def deform_trace(
 
     h_vals = tuple(
         Fraction(h.coeff(r).min_val_or_cap(), params.e) for r in range(k)
-    )
-    h_floors = tuple(
-        Fraction(alpha_k1 - table.value(r)) + m for r in range(k)
     )
     cert = DeformCertificate(
         p=params.p,
@@ -574,13 +541,12 @@ def deform_trace(
     return wp, cert
 
 
-def converse_bound(k: int, m, table: AlphaTable) -> Fraction:
+def converse_bound(m, alpha_k1: int) -> Fraction:
     """Necessary valuation of a_p - a'_p for a mod-p^m isomorphism: m - alpha(k-1).
 
     Only informative when m >= alpha(k-1); refuses otherwise.
     """
     m = Fraction(m)
-    alpha_k1 = table.value(k - 1)
     if m < alpha_k1:
         raise PreconditionFails(
             f"converse bound needs m >= alpha(k-1) = {alpha_k1}, got {m}"

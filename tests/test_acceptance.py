@@ -38,6 +38,7 @@ from wachdeform.trianguline import (
 from wachdeform.wach import check_axioms, seed_companion
 
 from qp_characters import QpMultChar
+from test_deform import alpha0, h_floors
 
 
 def _vp_int(n: int, p: int) -> int:
@@ -62,7 +63,6 @@ def test_criterion_01_alpha_product_floor_and_bound():
     t0 = time.monotonic()
     for p in (3, 5, 7):
         chi = default_chi(p)
-        table = alpha(p, 300, chi)
         acc, power = 0, 1
         for j in range(1, 301):
             power *= chi
@@ -72,7 +72,7 @@ def test_criterion_01_alpha_product_floor_and_bound():
             while p ** (n - 1) * (p - 1) <= j:
                 floor_sum += j // (p ** (n - 1) * (p - 1))
                 n += 1
-            assert table.value(j) == acc == floor_sum, (p, j)
+            assert alpha(p, j, chi) == acc == floor_sum, (p, j)
             assert acc <= Fraction(j * p, (p - 1) ** 2), (p, j)
     assert time.monotonic() - t0 < 1.0
 
@@ -150,9 +150,8 @@ def test_criterion_03_desk_run_as_written():
     p0 = wp.P.eval0()
     assert (p0.trace() - PadicElt.from_int(w.params, 84)).is_zero_at_cap()
     assert (p0.det() - PadicElt.from_int(w.params, 27)).is_zero_at_cap()
-    table = alpha(3, 3, 2)
     for r, (got, floor) in enumerate(zip(cert.h_valuations, cert.h_floors)):
-        assert floor == table.value(3) - table.value(r) + 1
+        assert floor == alpha(3, 3, 2) - alpha0(3, r, 2) + 1
         assert got >= floor
 
 
@@ -166,8 +165,7 @@ def test_criterion_04_recursion_floors_and_brute_force():
     m = Fraction(1)
     for trial in range(100):
         k = rng.randrange(2, 9)
-        table = alpha(3, k - 1, 2)
-        ak1 = table.value(k - 1)
+        ak1 = alpha(3, k - 1, 2)
         nx = k + 4
         scale = 3 ** (ak1 + 1)
         h0 = Mat2(*(PadicElt.from_int(params, scale * rng.randrange(-20, 21))
@@ -177,10 +175,10 @@ def test_criterion_04_recursion_floors_and_brute_force():
             tail = Mat2(*(PadicElt.from_int(params, rng.randrange(-40, 41))
                           for _ in range(4)))
             g = g + MatrixSeries.from_mats(params, [Mat2.zero(params)] * i + [tail], nx)
-        h = extend_h(h0, g, k, m, table)
+        h = extend_h(h0, g, 2, h_floors(3, k, m, 2))
         for r in range(k):
             got = Fraction(h.coeff(r).min_val_or_cap(), params.e)
-            assert got >= ak1 - table.value(r) + m, (trial, k, r)
+            assert got >= ak1 - alpha0(3, r, 2) + m, (trial, k, r)
         defect = h * g - g * mat_gamma(h, 2)        # independent oracle
         for j in range(k):
             assert defect.coeff(j).is_zero_at_cap(), (trial, k, j)
@@ -320,15 +318,15 @@ def test_criterion_09_hypothesis_star_table():
 
 def test_criterion_10_weight_step_arithmetic():
     # the exact quantities the weight step is built from
-    table = alpha(3, 16, 2)
-    assert table.value(16) == 10
+    alpha_16 = alpha(3, 16, 2)
+    assert alpha_16 == 10
     assert hypothesis_star(3, 1, 1) == 17          # k = 17 is exactly minimal
 
     params = PadicParams(3, 1, 46)
     eps = ScaledElt(PadicElt.one(params), 16).div(
         ScaledElt(PadicElt.from_int(params, 3))).to_padic()
     assert val_or_cap(eps) == 15                    # v(p^(k-1)/a_p)
-    assert 15 >= 2 * 1 + table.value(16) + 1        # = 13: bound satisfied
+    assert 15 >= 2 * 1 + alpha_16 + 1               # = 13: bound satisfied
 
     assert precision_floor(1, 17, 1, 10) == 46      # = 1 + 20 + 17 + 8
     assert radius_to_level(1, 1) == 2               # level = m + r, exact

@@ -214,7 +214,7 @@ UNDER_FLOOR = ("--prec-pi", "5")
 def test_deform_refusal_agrees_with_library(ap):
     # the CLI refuses on exact rationals, deform_trace on capped elements;
     # both must draw the line at the same valuation
-    bound = deformation_bound(vp(ap, 3), alpha(3, 1, 2).value(1), Fraction(1))
+    bound = deformation_bound(vp(ap, 3), alpha(3, 1, 2), Fraction(1))
     at, below = ap + 3 ** int(bound), ap + 3 ** (int(bound) - 1)
     assert main(_deform_argv(ap, at)) == 0
     assert main(_deform_argv(ap, below, *UNDER_FLOOR)) == 2
@@ -280,12 +280,12 @@ def test_huge_prec_pi_header_refused_fast(tmp_path, capsys):
 
 
 def _no_alpha_table(*args):
-    raise AssertionError("an alpha table was built")
+    raise AssertionError("alpha was checked at every j up to r")
 
 
 def test_weightstep_huge_weight_header_ends_fast(monkeypatch, tmp_path, capsys):
     # p^(k-1) at k = 10^400 is zero at the cap and the bound takes alpha(k-1)
-    # from the floor formula, so the deformation refuses without tabulating
+    # from the floor formula, so the deformation refuses without the per-j check
     monkeypatch.setattr(deform, "alpha", _no_alpha_table)
     path = tmp_path / "mod.json"
     assert main(["seed", "--p", "3", "--k", "2", "--ap", "3", "--out", str(path)]) == 0
@@ -461,6 +461,69 @@ def test_scan_bad_ring_refused_before_any_file(tmp_path, capsys):
         "error: DomainError: ramification index must be >= 1, got 0\n"
     )
     assert not outdir.exists()
+
+
+def _no_seeding(*args):
+    raise AssertionError("seeding started")
+
+
+@pytest.mark.parametrize("argv, e, m", [
+    (["deform", "--p", "3", "--k", "2", "--ap", "3", "--ap-new", "30", "--m", "-100"], 1, "-100"),
+    (["deform", "--p", "3", "--k", "2", "--ap", "3", "--ap-new", "30", "--m", "-5"], 1, "-5"),
+    (["deform", "--p", "3", "--e", "2", "--k", "2", "--ap", "3", "--ap-new", "246",
+      "--m", "1/4"], 2, "1/4"),
+    (["scan", "--p", "3", "--k-range", "2:2", "--ap-list", "3", "--m", "0"], 1, "0"),
+    (["scan", "--p", "3", "--k-range", "2:2", "--ap-list", "3", "--m", "1/2"], 1, "1/2"),
+    (["scan", "--p", "3", "--e", "2", "--k-range", "2:3", "--ap-list", "3", "--m=-1/2"],
+     2, "-1/2"),
+])
+def test_bad_level_refused_before_any_work(argv, e, m, monkeypatch, tmp_path, capsys):
+    # the level was once checked only inside deform_trace: -100 made a budget
+    # below 1 (exit 3), -5 seeded first, and scan wrote its files then failed
+    # every point
+    monkeypatch.setattr(cli, "seed_companion", _no_seeding)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: DomainError: congruence level must lie in (1/{e})Z_(>=1), got {m}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", [
+    ["deform", "--k", "2", "--ap", "3", "--ap-new", "30"],
+    ["scan", "--k-range", "2:2", "--ap-list", "3"],
+])
+def test_bad_ring_refused_before_bad_level(cmd, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = cmd + ["--p", "3", "--e", "0", "--m", "0", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: DomainError: ramification index must be >= 1, got 0\n"
+    )
+    assert not out.exists()
+
+
+def test_scan_parser_namespace_unchanged():
+    # scan takes its ring flags from the shared helper: same dests, types and defaults
+    full = cli.build_parser().parse_args([
+        "scan", "--p", "5", "--e", "2", "--k-range", "2:4", "--ap-list", "3,1/2",
+        "--m", "1/2", "--chi-gamma", "3", "--prec-pi", "40", "--prec-x", "20",
+        "--seed", "7", "--out", "d", "--jobs", "2",
+    ])
+    assert vars(full) == {
+        "command": "scan", "p": 5, "e": 2, "k_range": "2:4", "ap_list": "3,1/2",
+        "m": Fraction(1, 2), "chi_gamma": 3, "prec_pi": 40, "prec_x": 20, "seed": 7,
+        "out": "d", "jobs": 2, "fn": cli.cmd_scan,
+    }
+    bare = cli.build_parser().parse_args(
+        ["scan", "--p", "3", "--k-range", "2:2", "--ap-list", "3", "--m", "1", "--out", "d"]
+    )
+    assert vars(bare) == {
+        "command": "scan", "p": 3, "e": 1, "k_range": "2:2", "ap_list": "3",
+        "m": Fraction(1), "chi_gamma": 0, "prec_pi": None, "prec_x": None, "seed": 0,
+        "out": "d", "jobs": 1, "fn": cli.cmd_scan,
+    }
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

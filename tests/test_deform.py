@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -62,37 +63,45 @@ def seed_k2(a: int = 3, nx: int = 16, prec: int = 24):
 # alpha
 # --------------------------------------------------------------------------- #
 
+def alpha0(p: int, r: int, chi: int) -> int:
+    """alpha(r), with alpha(0) = 0 as the empty sum."""
+    return alpha(p, r, chi) if r else 0
+
+
+def h_floors(p: int, k: int, m: Fraction, chi: int) -> tuple[Fraction, ...]:
+    """The floors alpha(k-1) - alpha(r) + m of H_0..H_{k-1}, each alpha checked per j."""
+    return tuple(Fraction(alpha0(p, k - 1, chi) - alpha0(p, r, chi)) + m for r in range(k))
+
+
 def test_alpha_small_table_p3():
-    t = alpha(3, 6, 2)
-    assert t.values == (0, 1, 1, 2, 2, 4)
-    assert t.steps == (0, 1, 0, 1, 0, 2)
-    assert t.value(0) == 0
-    assert t.value(6) == 4
-    assert t.value(3) == 1   # bound ingredient for the weight-4 desk example
+    values = [alpha(3, r, 2) for r in range(1, 7)]
+    assert values == [0, 1, 1, 2, 2, 4]
+    steps = [b - a for a, b in zip([0] + values, values)]
+    assert steps == [0, 1, 0, 1, 0, 2] == [vp(2**j - 1, 3) for j in range(1, 7)]
+    assert alpha(3, 3, 2) == 1   # bound ingredient for the weight-4 desk example
 
 
 def test_alpha_other_primes():
-    assert alpha(5, 20, 2).value(20) == 6       # floor(20/4) + floor(20/20)
-    assert alpha(7, 6, 3).value(6) == 1
-    assert alpha(3, 16, 2).value(16) == 10      # 8 + 2
+    assert alpha(5, 20, 2) == 6       # floor(20/4) + floor(20/20)
+    assert alpha(7, 6, 3) == 1
+    assert alpha(3, 16, 2) == 10      # 8 + 2
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_alpha_floor_formula_to_300(p):
-    # the constructor cross-checks product vs floor form at every r; surviving
-    # construction to r = 300 is the assertion
-    t = alpha(p, 300, default_chi(p))
-    assert len(t.values) == 300
+    # alpha cross-checks product vs floor form at every j <= r; returning at
+    # every r up to 300 is the assertion
+    values = [alpha(p, r, default_chi(p)) for r in range(1, 301)]
+    assert all(type(v) is int for v in values)
     # non-decreasing with nonnegative steps
-    assert all(s >= 0 for s in t.steps)
-    assert all(b >= a for a, b in zip(t.values, t.values[1:]))
+    assert values[0] >= 0
+    assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_alpha_upper_bound(p):
-    t = alpha(p, 300, default_chi(p))
     for r in range(1, 301):
-        assert Fraction(t.value(r)) <= Fraction(r * p, (p - 1) ** 2)
+        assert Fraction(alpha(p, r, default_chi(p))) <= Fraction(r * p, (p - 1) ** 2)
 
 
 def test_alpha_rejects_non_generators():
@@ -109,30 +118,43 @@ def test_alpha_rejects_non_generators():
 def test_alpha_argument_validation():
     with pytest.raises(DomainError):
         alpha(3, 0, 2)
-    t = alpha(3, 4, 2)
     with pytest.raises(DomainError):
-        t.value(5)
+        alpha(3, -4, 2)
 
 
 def test_alpha_to_large_r_equals_floor_formula():
-    # chi^j is carried mod p^L, so the table at r = 10^5 costs linear time; it is
-    # the floor formula at every j, and its steps are those of the exact powers
+    # chi^j is carried mod p^L, so alpha at r = 10^5 costs linear time; the
+    # sampled values are the floor formula, and their steps those of the exact
+    # powers (alpha checks the floor form at every other j itself)
     p, r = 3, 10**5
-    t = alpha(p, r, 2)
     moduli = [(p - 1) * p**i for i in range(12) if (p - 1) * p**i <= r]
-    assert list(t.values) == [sum(j // m for m in moduli) for j in range(1, r + 1)]
-    for j in (1, 2, 6, 18, 486, 2 * 3**9, r - 1, r):
-        assert t.steps[j - 1] == vp(2**j - 1, p), j
-    assert alpha_floor(p, r, 2) == t.value(r)
+    sampled = (1, 2, 6, 18, 486, 2 * 3**9, r - 1, r)
+    values = {n: alpha0(p, n, 2) for j in sampled for n in (j - 1, j)}
+    for n, value in values.items():
+        assert value == sum(n // m for m in moduli), n
+    for j in sampled:
+        assert values[j] - values[j - 1] == vp(2**j - 1, p), j
+    assert alpha_floor(p, r, 2) == values[r]
+
+
+def test_alpha_memory_is_constant_in_r():
+    # running totals only: no list of r values or steps is kept
+    tracemalloc.start()
+    try:
+        assert alpha(3, 10**5, 2) == alpha_floor(3, 10**5, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
 
 
 @pytest.mark.parametrize("args", [(4, 5, 2), (3, 0, 2), (3, 5, 4), (5, 5, 7)])
 def test_alpha_floor_refuses_as_alpha_does(args):
-    with pytest.raises(WachdeformError) as table:
+    with pytest.raises(WachdeformError) as checked:
         alpha(*args)
     with pytest.raises(WachdeformError) as floor:
         alpha_floor(*args)
-    assert (type(floor.value), str(floor.value)) == (type(table.value), str(table.value))
+    assert (type(floor.value), str(floor.value)) == (type(checked.value), str(checked.value))
 
 
 def test_default_chi_smallest_generator():
@@ -171,7 +193,7 @@ def test_precision_default_below_prec_pi_maximum():
         chi = default_chi(p)
         for e in (1, 2):
             for k in range(2, 18):
-                a = alpha(p, k - 1, chi).value(k - 1)
+                a = alpha(p, k - 1, chi)
                 assert precision_default(p, e, k, Fraction(1), a, default_nx(p, k)) <= MAX_PREC_PI
     with pytest.raises(PrecisionExhausted, match="exceeds the maximum"):
         PadicParams(3, 1, MAX_PREC_PI + 1)
@@ -259,10 +281,6 @@ def test_build_h0_floor_refused():
 # extend_h
 # --------------------------------------------------------------------------- #
 
-def _gamma_table(k: int):
-    return alpha(3, max(k - 1, 1), 2)
-
-
 def _const_series(m: Mat2, nx: int, order: int = 0) -> MatrixSeries:
     """x^order m, known mod x^nx."""
     return MatrixSeries.from_mats(m.a.params, [Mat2.zero(m.a.params)] * order + [m], nx)
@@ -270,14 +288,14 @@ def _const_series(m: Mat2, nx: int, order: int = 0) -> MatrixSeries:
 
 def test_extend_h_zero_seed_stays_zero():
     w = seed_k2()
-    h = extend_h(Mat2.zero(P3), w.G, 2, Fraction(1), _gamma_table(2))
+    h = extend_h(Mat2.zero(P3), w.G, 2, h_floors(3, 2, Fraction(1), 2))
     assert h.is_zero_at_cap()
 
 
 def test_extend_h_identity_gamma_keeps_constant():
     h0 = mat(9, 0, 27, 9)
     g = MatrixSeries.identity(P3, 12)
-    h = extend_h(h0, g, 4, Fraction(1), _gamma_table(4))
+    h = extend_h(h0, g, 2, h_floors(3, 4, Fraction(1), 2))
     assert h.coeff(0).same_at_cap(h0)
     for r in range(1, 4):
         assert h.coeff(r).is_zero_at_cap()
@@ -289,7 +307,7 @@ def test_extend_h_first_order_commutator():
     c = 3
     h0 = mat(0, 0, c, 0)
     g = MatrixSeries.identity(P3, 12) + _const_series(mat(0, 1, 0, 0), 12, 1)
-    h = extend_h(h0, g, 2, Fraction(1), _gamma_table(2))
+    h = extend_h(h0, g, 2, h_floors(3, 2, Fraction(1), 2))
     assert h.coeff(0).same_at_cap(h0)
     assert h.coeff(1).same_at_cap(mat(-c, 0, 0, c))
 
@@ -310,20 +328,30 @@ def test_extend_h_corrupted_order_raises_at_that_order(monkeypatch, r):
 
     monkeypatch.setattr(MatrixSeries, "from_mats", classmethod(corrupted))
     with pytest.raises(PrecisionExhausted, match=rf"fails HG = G gamma\(H\) at order {r}$"):
-        extend_h(mat(9, 0, 27, 9), g, 4, Fraction(1), _gamma_table(4))
+        extend_h(mat(9, 0, 27, 9), g, 2, h_floors(3, 4, Fraction(1), 2))
 
 
 def test_extend_h_rejects_shallow_seed():
     w = seed_k2()
     with pytest.raises(ValuationFloorUnreachable):
-        extend_h(mat(1, 0, 0, 0), w.G, 2, Fraction(1), _gamma_table(2))
+        extend_h(mat(1, 0, 0, 0), w.G, 2, h_floors(3, 2, Fraction(1), 2))
+
+
+def test_extend_h_refuses_h_r_below_its_floor():
+    # the first-order commutator has v(H_1) = 1: it clears a floor of 1 and is
+    # refused at a floor of 2
+    h0 = mat(0, 0, 3, 0)
+    g = MatrixSeries.identity(P3, 12) + _const_series(mat(0, 1, 0, 0), 12, 1)
+    extend_h(h0, g, 2, (Fraction(1), Fraction(1)))
+    with pytest.raises(ValuationFloorUnreachable, match=r"step 1: v\(H_1\) = 1 below the floor 2$"):
+        extend_h(h0, g, 2, (Fraction(1), Fraction(2)))
 
 
 def test_extend_h_rejects_gamma_not_identity_at_zero():
     h0 = mat(9, 0, 0, 9)
     g = _const_series(mat(1, 1, 0, 1), 8)
     with pytest.raises(DomainError):
-        extend_h(h0, g, 3, Fraction(1), _gamma_table(3))
+        extend_h(h0, g, 2, h_floors(3, 3, Fraction(1), 2))
 
 
 def test_extend_h_randomized_floors_and_congruence():
@@ -335,8 +363,7 @@ def test_extend_h_randomized_floors_and_congruence():
     m = Fraction(1)
     for trial in range(100):
         k = rng.randrange(2, 9)
-        table = alpha(3, k - 1, 2)
-        ak1 = table.value(k - 1)
+        ak1 = alpha(3, k - 1, 2)
         nx = k + 4
         scale = 3 ** (ak1 + 1)
         h0 = Mat2(*(PadicElt.from_int(params, scale * rng.randrange(-20, 21))
@@ -346,10 +373,10 @@ def test_extend_h_randomized_floors_and_congruence():
             tail = Mat2(*(PadicElt.from_int(params, rng.randrange(-40, 41))
                           for _ in range(4)))
             g = g + MatrixSeries.from_mats(params, [Mat2.zero(params)] * i + [tail], nx)
-        h = extend_h(h0, g, k, m, table)
+        h = extend_h(h0, g, 2, h_floors(3, k, m, 2))
         for r in range(k):
             got = Fraction(h.coeff(r).min_val_or_cap(), params.e)
-            assert got >= ak1 - table.value(r) + m, (trial, k, r)
+            assert got >= ak1 - alpha0(3, r, 2) + m, (trial, k, r)
         defect = h * g - g * mat_gamma(h, 2)
         for j in range(k):
             assert defect.coeff(j).is_zero_at_cap(), (trial, k, j)
@@ -378,10 +405,9 @@ def ref_gamma_x_coeffs(chi_gamma: int, k: int) -> list[list[int]]:
     return table
 
 
-def ref_extend_h(h0, g, k, m, table):
+def ref_extend_h(h0, g, k, m, chi):
     params = g.params
-    chi = table.chi_gamma
-    alpha_k1 = table.value(k - 1)
+    alpha_k1 = alpha0(params.p, k - 1, chi)
     if Fraction(h0.min_val_or_cap(), params.e) < alpha_k1 + m:
         raise ValuationFloorUnreachable("H0 below the floor")
     if not (g.eval0() - Mat2.identity(params)).is_zero_at_cap():
@@ -412,7 +438,7 @@ def ref_extend_h(h0, g, k, m, table):
         except InexactDivision as exc:
             raise PrecisionExhausted(f"step {r}: {exc}")
         hs.append(hr)
-        floor_r = Fraction(alpha_k1 - table.value(r)) + m
+        floor_r = Fraction(alpha_k1 - alpha0(params.p, r, chi)) + m
         if Fraction(hr.min_cap(), params.e) < floor_r:
             raise PrecisionExhausted(f"step {r}: cap below the floor")
         if Fraction(hr.min_val_or_cap(), params.e) < floor_r:
@@ -444,12 +470,12 @@ def pi_pow(params: PadicParams, s: int) -> PadicElt:
 
 @st.composite
 def extend_h_case(draw):
-    """(H0, G, k, m, table, G(0) exact): caps of H0 and G may sit below prec_pi,
+    """(H0, G, k, m, chi, G(0) exact): caps of H0 and G may sit below prec_pi,
     H0 may miss its floor, and G(0) is Id either exactly or at a lower cap."""
     p, e, k = draw(st.sampled_from([3, 5, 7])), draw(st.sampled_from([1, 2])), draw(st.integers(2, 7))
-    table = alpha(p, k - 1, default_chi(p))
+    chi = default_chi(p)
     m = Fraction(draw(st.integers(0, 2 * e)), e)
-    floor = e * (table.value(k - 1) + m)
+    floor = e * (alpha(p, k - 1, chi) + m)
     params = PadicParams(p, e, int(floor) + draw(st.integers(2, 14)))
     prec = params.prec_pi
 
@@ -474,15 +500,15 @@ def extend_h_case(draw):
             g0 = Mat2(PadicElt.one(params, cap), g0.b, g0.c, g0.d)
     mats = [g0] + [Mat2(*(elt(0) for _ in range(4))) for _ in range(1, nx)]
     g = MatrixSeries.from_mats(params, mats, nx)
-    return h0, g, k, m, table, exact
+    return h0, g, k, m, chi, exact
 
 
 @settings(max_examples=150, deadline=None)
 @given(extend_h_case())
 def test_extend_h_matches_element_loop(case):
-    h0, g, k, m, table, exact = case
-    new = h_outcome(extend_h, h0, g, k, m, table)
-    old = h_outcome(ref_extend_h, h0, g, k, m, table)
+    h0, g, k, m, chi, exact = case
+    new = h_outcome(extend_h, h0, g, chi, h_floors(g.params.p, k, m, chi))
+    old = h_outcome(ref_extend_h, h0, g, k, m, chi)
     if exact:
         assert new == old
         return
@@ -508,8 +534,9 @@ def test_extend_h_caps_what_g0_determines():
     # element loop never read G(0) and claimed H_2 to prec_pi - 1
     g0 = Mat2(PadicElt.one(P3, 10), elt(0), elt(0), PadicElt.one(P3, 10))
     g = MatrixSeries.from_mats(P3, [g0, mat(0, 1, 0, 0)], 12)
-    args = (mat(0, 0, 9, 0), g, 3, Fraction(1), _gamma_table(3))
-    new, old = extend_h(*args), ref_extend_h(*args)
+    h0 = mat(0, 0, 9, 0)
+    new = extend_h(h0, g, 2, h_floors(3, 3, Fraction(1), 2))
+    old = ref_extend_h(h0, g, 3, Fraction(1), 2)
     assert old.coeff(2).min_cap() == 23
     assert new.coeff(2).min_cap() == 11
     assert (new - old).is_zero_at_cap()
@@ -527,13 +554,12 @@ def test_extend_h_ap_zero_seed_digests(p, k, digest):
     # a nonzero H at k >= 3, which no CLI command reaches; the digests were
     # taken from the element loop
     chi = default_chi(p)
-    table = alpha(p, k - 1, chi)
     nx = default_nx(p, k)
-    params = PadicParams(p, 1, precision_default(p, 1, k, Fraction(1), table.value(k - 1), nx))
+    params = PadicParams(p, 1, precision_default(p, 1, k, Fraction(1), alpha(p, k - 1, chi), nx))
     w = seed_companion(params, k, PadicElt.zero(params), chi, nx)
     zero = PadicElt.zero(params)
-    h = extend_h(Mat2(zero, zero, PadicElt.from_int(params, -p), zero), w.G, k,
-                 Fraction(0), table)
+    h = extend_h(Mat2(zero, zero, PadicElt.from_int(params, -p), zero), w.G, chi,
+                 h_floors(p, k, Fraction(0), chi))
     text = "|".join(repr((s.nx, s.planes, s.caps)) for s in h.entries())
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -703,17 +729,18 @@ def test_certificate_serializes():
 # --------------------------------------------------------------------------- #
 
 def test_converse_bound_examples():
-    assert converse_bound(4, 3, alpha(3, 3, 2)) == 2
-    assert converse_bound(2, 1, alpha(3, 1, 2)) == 1
+    assert converse_bound(3, alpha(3, 3, 2)) == 2
+    assert converse_bound(1, alpha(3, 1, 2)) == 1
+    assert converse_bound(4, alpha(3, 6, 2)) == 0   # m = alpha(k-1) is still informative
 
 
 def test_converse_bound_precondition():
     with pytest.raises(PreconditionFails):
-        converse_bound(7, 3, alpha(3, 6, 2))  # alpha(6) = 4 > 3
+        converse_bound(3, alpha(3, 6, 2))  # alpha(6) = 4 > 3
 
 
 def test_converse_consistent_with_passing_certificate():
     w = seed_k2()
     _, cert = deform_trace(w, elt(30), 1)
-    threshold = converse_bound(2, 1, alpha(3, 1, 2))
+    threshold = converse_bound(1, alpha(3, 1, 2))
     assert cert.bound_observed >= threshold

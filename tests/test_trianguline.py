@@ -350,7 +350,7 @@ def test_weight_step_perturbation_arithmetic():
     # at (p,k,a_p,m) = (3,17,3,1) that is 15 >= 2 v(a_p) + alpha(16) + 1 = 13
     from wachdeform.deform import alpha
 
-    assert alpha(3, 16, 2).value(16) == 10
+    assert alpha(3, 16, 2) == 10
     v_eps = Fraction(17 - 1) - 1
     assert v_eps == 15 and v_eps >= 2 * 1 + 10 + 1
 
