@@ -9,160 +9,17 @@ is no floating point anywhere.  The central workflow is
 with the character-side utilities (psi_eval, TriCharacter, hypothesis_star,
 weight_step, lipschitz_check) built on the same element types.
 """
-from .deform import (
-    DeformCertificate,
-    alpha,
-    build_h0,
-    converse_bound,
-    correct_gamma,
-    default_chi,
-    deform_trace,
-    deformation_bound,
-    diagonalize,
-    extend_h,
-    is_generator,
-    precision_default,
-    precision_floor,
-)
-from .errors import (
-    BoundViolated,
-    DefectNotDivisible,
-    DivisionByNonUnit,
-    DomainError,
-    HenselCriterionFails,
-    InexactDivision,
-    MalformedFile,
-    NeumannDivergence,
-    NonpositiveValuation,
-    NormViolation,
-    NotAGenerator,
-    OutOfConvergenceDomain,
-    ParamMismatch,
-    PreconditionFails,
-    PrecisionExhausted,
-    RamifiedUnsupported,
-    SeedSingular,
-    SlopesNotDistinct,
-    ValuationFloorUnreachable,
-    VersionMismatch,
-    WachdeformError,
-    ZeroInput,
-)
-from .padics import (
-    PadicElt,
-    PadicParams,
-    ScaledElt,
-    binom_coeffs,
-    hensel_root,
-    pexp,
-    plog,
-    teichmuller_decompose,
-    val,
-    val_or_cap,
-)
-from .series import (
-    Mat2,
-    MatrixSeries,
-    PadicSeries,
-    cyclotomic_q,
-    mat_frobenius,
-    mat_gamma,
-)
-from .trianguline import (
-    CoeffBoundReport,
-    LipschitzReport,
-    PsiMap,
-    TriCharacter,
-    char_eval,
-    coeff_bound_check,
-    hypothesis_star,
-    lipschitz_check,
-    psi_eval,
-    radius_to_level,
-    sample_ball_pairs,
-    weight_step,
-)
-from .wach import (
-    AxiomReport,
-    WachData,
-    check_axioms,
-    default_nx,
-    load_wach,
-    save_wach,
-    seed_companion,
-)
+from . import deform, errors, padics, series, trianguline, wach
+from .deform import *
+from .errors import *
+from .padics import *
+from .series import *
+from .trianguline import *
+from .wach import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxiomReport",
-    "BoundViolated",
-    "CoeffBoundReport",
-    "DefectNotDivisible",
-    "DeformCertificate",
-    "DivisionByNonUnit",
-    "DomainError",
-    "HenselCriterionFails",
-    "InexactDivision",
-    "LipschitzReport",
-    "MalformedFile",
-    "Mat2",
-    "MatrixSeries",
-    "NeumannDivergence",
-    "NonpositiveValuation",
-    "NormViolation",
-    "NotAGenerator",
-    "OutOfConvergenceDomain",
-    "PadicElt",
-    "PadicParams",
-    "PadicSeries",
-    "ParamMismatch",
-    "PreconditionFails",
-    "PrecisionExhausted",
-    "PsiMap",
-    "RamifiedUnsupported",
-    "ScaledElt",
-    "SeedSingular",
-    "SlopesNotDistinct",
-    "TriCharacter",
-    "ValuationFloorUnreachable",
-    "VersionMismatch",
-    "WachData",
-    "WachdeformError",
-    "ZeroInput",
-    "alpha",
-    "binom_coeffs",
-    "build_h0",
-    "char_eval",
-    "check_axioms",
-    "coeff_bound_check",
-    "converse_bound",
-    "correct_gamma",
-    "cyclotomic_q",
-    "default_chi",
-    "default_nx",
-    "deform_trace",
-    "deformation_bound",
-    "diagonalize",
-    "extend_h",
-    "hensel_root",
-    "hypothesis_star",
-    "is_generator",
-    "lipschitz_check",
-    "load_wach",
-    "mat_frobenius",
-    "mat_gamma",
-    "pexp",
-    "plog",
-    "precision_default",
-    "precision_floor",
-    "psi_eval",
-    "radius_to_level",
-    "sample_ball_pairs",
-    "save_wach",
-    "seed_companion",
-    "teichmuller_decompose",
-    "val",
-    "val_or_cap",
-    "weight_step",
+    *deform.__all__, *errors.__all__, *padics.__all__,
+    *series.__all__, *trianguline.__all__, *wach.__all__,
 ]

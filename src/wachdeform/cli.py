@@ -11,9 +11,10 @@ Exit codes separate the failure classes a caller scripts against:
   5  file I/O or malformed input data
 
 Every numeric flag accepts an exact rational (``--m 1/2``); nothing on this
-surface is floating point.  The deformation commands check the valuation
-bound on exact rational lifts BEFORE any seeding work, so a hopeless request
-is refused in microseconds with exit 2.
+surface is floating point.  `seed`, `deform` and `scan` make every refusal
+of `deform.check_request` (p, chi(gamma), k, e, the level, then the valuation
+bound on exact rationals) BEFORE any budget, seeding work or file, so a
+hopeless request is refused in microseconds.
 """
 from __future__ import annotations
 
@@ -29,19 +30,16 @@ from functools import cache
 from pathlib import Path
 
 from .deform import (
-    _as_level,
     alpha,
-    alpha_floor,
+    check_request,
     converse_bound,
     default_chi,
     deform_trace,
-    deformation_bound,
     precision_default,
     precision_floor,
 )
 from .errors import (
     BoundViolated,
-    DomainError,
     MalformedFile,
     PreconditionFails,
     PrecisionExhausted,
@@ -49,7 +47,7 @@ from .errors import (
     VersionMismatch,
     WachdeformError,
 )
-from .padics import PadicElt, PadicParams, ScaledElt, vp
+from .padics import PadicElt, PadicParams, ScaledElt
 from .trianguline import hypothesis_star, psi_eval, weight_step
 from .wach import check_axioms, default_nx, load_wach, save_wach, seed_companion
 
@@ -74,7 +72,7 @@ def _elt_from_rational(params: PadicParams, q: Fraction) -> PadicElt:
 def _resolve_precisions(args, k: int, m: Fraction, alpha_k1: int) -> tuple[PadicParams, int]:
     """The ring at its cap, and nx: budget-formula defaults, overrides refused below floor.
 
-    A bad ring or a cap above the maximum is refused here, before any seeding.
+    A cap above the maximum is refused here, before any seeding.
     """
     p, e = args.p, args.e
     nx = default_nx(p, k) if args.prec_x is None else args.prec_x
@@ -90,12 +88,6 @@ def _resolve_precisions(args, k: int, m: Fraction, alpha_k1: int) -> tuple[Padic
     return PadicParams(p, e, args.prec_pi), nx
 
 
-def _level(args) -> Fraction:
-    """--m as a congruence level, checked after the ring's own refusals of p and e."""
-    PadicParams(args.p, args.e)
-    return _as_level(args.m, args.e)
-
-
 def _write_json(path: str, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
@@ -106,10 +98,8 @@ def _write_json(path: str, obj) -> None:
 
 def cmd_seed(args) -> int:
     chi = args.chi_gamma or default_chi(args.p)
-    ak1 = alpha_floor(args.p, max(args.k - 1, 1), chi)   # p and chi are refused first
-    if args.k < 2:
-        raise DomainError(f"weight must be >= 2, got {args.k}")
-    params, nx = _resolve_precisions(args, args.k, Fraction(1), ak1)
+    m, ak1, _ = check_request(args.p, chi, args.k, args.e, 1)
+    params, nx = _resolve_precisions(args, args.k, m, ak1)
     w = seed_companion(params, args.k, _elt_from_rational(params, args.ap), chi, nx)
     report = check_axioms(w)
     print(
@@ -135,21 +125,7 @@ def cmd_verify(args) -> int:
 def cmd_deform(args) -> int:
     p, k = args.p, args.k
     chi = args.chi_gamma or default_chi(p)
-    ak1 = alpha_floor(p, k - 1, chi)
-
-    # bound check on exact rationals BEFORE any seeding work
-    eps = args.ap_new - args.ap
-    if eps:
-        if args.ap == 0:
-            raise BoundViolated("a_p = 0 admits only the identity deformation")
-        bound = deformation_bound(vp(args.ap, p), ak1, args.m)
-        v_eps = vp(eps, p)
-        if v_eps < bound:
-            raise BoundViolated(
-                f"v(a_p - a'_p) = {v_eps} < 2 v(a_p) + alpha(k-1) + m = {bound}"
-            )
-
-    m = _level(args)
+    m, ak1, _ = check_request(p, chi, k, args.e, args.m, args.ap, args.ap_new - args.ap)
     params, nx = _resolve_precisions(args, k, m, ak1)
     w = seed_companion(params, k, _elt_from_rational(params, args.ap), chi, nx)
     wp, cert = deform_trace(w, _elt_from_rational(params, args.ap_new), m)
@@ -198,19 +174,20 @@ def cmd_weightstep(args) -> int:
 
 def _scan_point(payload: tuple) -> tuple[int, list[str]]:
     """One grid point, built from primitives so worker processes can unpickle."""
-    (index, p, e, k, ak1, ap_str, m_str, chi, prec_pi, nx, seed) = payload
+    (index, p, e, k, ap_str, m_str, chi, prec_pi, nx, seed) = payload
     ap = Fraction(ap_str)
-    m = Fraction(m_str)
+    m, ak1, bound = check_request(p, chi, k, e, m_str, ap)
 
     if ap == 0:
         ap_new = ap                          # only the identity deformation exists
-        bound_ok = True
     else:
-        bound = deformation_bound(vp(ap, p), ak1, m)
-        t = math.ceil(bound)
         u = random.Random(f"{seed}:{k}:{ap}").randrange(1, p)
-        ap_new = ap + u * Fraction(p) ** t
-        bound_ok = vp(ap_new - ap, p) >= bound
+        ap_new = ap + u * Fraction(p) ** math.ceil(bound)
+    try:
+        check_request(p, chi, k, e, m, ap, ap_new - ap)
+        bound_ok = True
+    except BoundViolated:
+        bound_ok = False
 
     try:
         threshold = str(converse_bound(m, ak1))
@@ -260,12 +237,13 @@ def cmd_scan(args) -> int:
         raise MalformedFile("scan needs --k-range A:B with A >= 2 and a nonempty --ap-list")
 
     grid = [(k, ap) for k in range(k_lo, k_hi + 1) for ap in ap_list]
-    ak1s = {k: alpha_floor(p, k - 1, chi) for k in range(k_lo, k_hi + 1)}
-    m = _level(args)   # before any budget or file
+    # every refusal, then every budget, before any file
+    ak1s = {k: check_request(p, chi, k, e, args.m)[1] for k in range(k_lo, k_hi + 1)}
+    m = args.m
     payloads = []
     for index, (k, ap) in enumerate(grid):
         params, nx = _resolve_precisions(args, k, m, ak1s[k])
-        payloads.append((index, p, e, k, ak1s[k], str(ap), str(m), chi,
+        payloads.append((index, p, e, k, str(ap), str(m), chi,
                          params.prec_pi, nx, args.seed))
 
     outdir = Path(args.out)
@@ -332,21 +310,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_seed)
 
     sp = sub.add_parser("verify", help="re-check the axioms of a stored module")
-    sp.add_argument("--in", dest="infile", required=True)
+    sp.add_argument("--in", dest="infile", required=True, help="module JSON to verify")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("deform", help="deform the trace and certify congruence")
     _add_ring_flags(sp)
-    sp.add_argument("--ap", type=_rat, required=True)
-    sp.add_argument("--ap-new", type=_rat, required=True)
+    sp.add_argument("--ap", type=_rat, required=True,
+                    help="trace a_p of the seed (exact rational)")
+    sp.add_argument("--ap-new", type=_rat, required=True,
+                    help="target trace a'_p (exact rational)")
     sp.add_argument("--m", type=_rat, required=True, help="congruence level in (1/e)Z")
     sp.add_argument("--out", default="", help="write certificate JSON here")
     sp.set_defaults(fn=cmd_deform)
 
     sp = sub.add_parser("alpha", help="print alpha(r)")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--chi-gamma", type=int, default=0)
+    sp.add_argument("--p", type=int, required=True, help="residue characteristic")
+    sp.add_argument("--r", type=int, required=True, help="order r >= 1")
+    sp.add_argument("--chi-gamma", type=int, default=0,
+                    help="generator chi(gamma); default: smallest primitive root mod p^2")
     sp.set_defaults(fn=cmd_alpha)
 
     sp = sub.add_parser("psi", help="evaluate alpha^s by both series routes")
@@ -359,23 +340,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_psi)
 
     sp = sub.add_parser("star", help="minimal weight satisfying hypothesis (*)")
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--p", type=int, required=True, help="residue characteristic")
     sp.add_argument("--vap", type=_rat, required=True, help="v(a_p)")
-    sp.add_argument("--m", type=_rat, required=True)
+    sp.add_argument("--m", type=_rat, required=True, help="congruence level m > 0")
     sp.set_defaults(fn=cmd_star)
 
     sp = sub.add_parser("weightstep", help="deform a_p by p^(k-1)/a_p under (*)")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--m", type=_rat, required=True)
-    sp.add_argument("--out", default="")
+    sp.add_argument("--in", dest="infile", required=True, help="module JSON to deform")
+    sp.add_argument("--m", type=_rat, required=True, help="congruence level in (1/e)Z")
+    sp.add_argument("--out", default="", help="write certificate JSON here")
     sp.set_defaults(fn=cmd_weightstep)
 
     sp = sub.add_parser("scan", help="grid of deformation runs, CSV summary")
     _add_ring_flags(sp, with_k=False)
     sp.add_argument("--k-range", required=True, help="A:B inclusive")
     sp.add_argument("--ap-list", required=True, help="comma-separated rationals")
-    sp.add_argument("--m", type=_rat, required=True)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--m", type=_rat, required=True, help="congruence level in (1/e)Z")
+    sp.add_argument("--seed", type=int, default=0,
+                    help="random seed of each point's a'_p (default 0)")
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--jobs", type=int, default=1,
                     help="worker processes, at most one per grid point and usable CPU")

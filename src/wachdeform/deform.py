@@ -39,7 +39,15 @@ from .errors import (
     SlopesNotDistinct,
     ValuationFloorUnreachable,
 )
-from .padics import PadicElt, check_odd_prime, hensel_root, val_or_cap, vp
+from .padics import (
+    PadicElt,
+    check_odd_prime,
+    check_ramification,
+    hensel_root,
+    val,
+    val_or_cap,
+    vp,
+)
 from .series import Mat2, MatrixSeries, mat_frobenius, mat_gamma
 from .wach import WachData, _solve_orders, check_axioms
 
@@ -48,6 +56,7 @@ __all__ = [
     "alpha",
     "alpha_floor",
     "build_h0",
+    "check_request",
     "converse_bound",
     "correct_gamma",
     "default_chi",
@@ -82,6 +91,13 @@ def is_generator(p: int, chi_gamma: int) -> bool:
     return pow(chi_gamma, p - 1, p * p) != 1
 
 
+def _require_generator(p: int, chi_gamma: int) -> None:
+    if not is_generator(p, chi_gamma):   # a p that is not an odd prime is refused first
+        raise NotAGenerator(
+            f"chi(gamma) = {chi_gamma} does not topologically generate Z_{p}^x"
+        )
+
+
 def default_chi(p: int) -> int:
     """Smallest integer generator of Z_p^x (2 for p = 3 and 5, 3 for p = 7)."""
     c = 2
@@ -106,10 +122,7 @@ def alpha_floor(p: int, r: int, chi_gamma: int) -> int:
     check_odd_prime(p)
     if r < 1:
         raise DomainError(f"alpha needs r >= 1, got {r}")
-    if not is_generator(p, chi_gamma):
-        raise NotAGenerator(
-            f"chi(gamma) = {chi_gamma} does not topologically generate Z_{p}^x"
-        )
+    _require_generator(p, chi_gamma)
     return _alpha_floor_formula(p, r)
 
 
@@ -158,6 +171,52 @@ def deformation_bound(v_ap: Fraction | int, alpha_k1: int, m: Fraction) -> Fract
     At a_p = 0 only the identity deformation exists; its bound takes v_ap = 0.
     """
     return 2 * Fraction(v_ap) + alpha_k1 + m
+
+
+def check_request(
+    p: int, chi_gamma: int, k: int, e: int, m, a_p=None, eps=None, v=None
+) -> tuple[Fraction, int, Fraction | None]:
+    """Refuse a deformation request, or return (m, alpha(k-1), bound).
+
+    The refusals come in this order, each before any budget, seeding or file:
+
+      1. p is not an odd prime                      DomainError
+      2. chi(gamma) does not generate Z_p^x         NotAGenerator
+      3. the weight k is below 2                    DomainError
+      4. the ramification index e is below 1        DomainError
+      5. the level m is not in (1/e)Z_(>=1)         DomainError
+      6. the bound, when eps = a'_p - a_p is given and nonzero:
+         a_p = 0 admits only eps = 0, and otherwise
+         v(eps) >= 2 v(a_p) + alpha(k-1) + m         BoundViolated
+
+    v gives the valuation (v(p) = 1) of a_p and eps, None at zero: by default
+    that of exact rationals, `val` on capped elements.  It is read only after
+    p has passed.  bound is None without a_p, and takes v(a_p) = 0 at a_p = 0.
+    """
+    _require_generator(p, chi_gamma)
+    if k < 2:
+        raise DomainError(f"weight must be >= 2, got {k}")
+    check_ramification(e)
+    m = Fraction(m)
+    if m * e < 1 or (m * e).denominator != 1:
+        raise DomainError(f"congruence level must lie in (1/{e})Z_(>=1), got {m}")
+    alpha_k1 = _alpha_floor_formula(p, k - 1)
+    if a_p is None:
+        return m, alpha_k1, None
+    if v is None:
+        def v(q):
+            return None if q == 0 else vp(q, p)
+    v_ap = v(a_p)
+    bound = deformation_bound(v_ap or 0, alpha_k1, m)
+    v_eps = None if eps is None else v(eps)
+    if v_eps is not None:
+        if v_ap is None:
+            raise BoundViolated("a_p = 0 admits only the identity deformation")
+        if v_eps < bound:
+            raise BoundViolated(
+                f"v(a_p - a'_p) = {v_eps} < 2 v(a_p) + alpha(k-1) + m = {bound}"
+            )
+    return m, alpha_k1, bound
 
 
 def precision_floor(e: int, k: int, m: Fraction, alpha_k1: int) -> int:
@@ -460,44 +519,25 @@ def _series_min_val(ms: MatrixSeries) -> Fraction:
     return Fraction(ms.min_val_or_cap(), ms.params.e)
 
 
-def _as_level(m, e: int) -> Fraction:
-    m = Fraction(m)
-    if m * e < 1 or (m * e).denominator != 1:
-        raise DomainError(f"congruence level must lie in (1/{e})Z_(>=1), got {m}")
-    return m
-
-
 def deform_trace(
     w: WachData, ap_new: PadicElt, m
 ) -> tuple[WachData, DeformCertificate]:
     """Deform (P, G) to trace a'_p, certifying P = P' and G = G' mod p^m.
 
-    Refuses with BoundViolated before touching the matrices unless
-    v(a_p - a'_p) >= 2 v(a_p) + alpha(k-1) + m.  On success the returned
-    module carries P' = (Id + H) P and the repaired gamma-matrix; all
-    valuation floors the congruence argument uses are logged in the
-    certificate, which re-verifies the deformed module from scratch.
+    Refuses through `check_request` before touching the matrices, and with
+    PrecisionExhausted when a'_p - a_p is zero at a cap below the bound.  On
+    success the returned module carries P' = (Id + H) P and the repaired
+    gamma-matrix; all valuation floors the congruence argument uses are logged
+    in the certificate, which re-verifies the deformed module from scratch.
     """
     params = w.params
-    m = _as_level(m, params.e)
     k, chi = w.k, w.chi_gamma
-    alpha_k1 = alpha_floor(params.p, k - 1, chi)
-
     eps = ap_new - w.a_p
-    v_ap = w.a_p.valpi()
-    if v_ap is None and not eps.is_zero_at_cap():
-        raise BoundViolated(
-            "a_p vanishes to cap: no finite bound 2v(a_p)+alpha+m exists"
-        )
-    bound = deformation_bound(Fraction(v_ap or 0, params.e), alpha_k1, m)
+    m, alpha_k1, bound = check_request(params.p, chi, k, params.e, m, w.a_p, eps, val)
     v_eps = val_or_cap(eps)
-    if v_eps < bound:
-        if eps.is_zero_at_cap():
-            raise PrecisionExhausted(
-                f"cap {v_eps} cannot certify the hypothesis v(eps) >= {bound}"
-            )
-        raise BoundViolated(
-            f"v(a_p - a'_p) = {v_eps} < 2 v(a_p) + alpha(k-1) + m = {bound}"
+    if v_eps < bound:   # eps is zero at a cap below the bound
+        raise PrecisionExhausted(
+            f"cap {v_eps} cannot certify the hypothesis v(eps) >= {bound}"
         )
 
     report = check_axioms(w)

@@ -6,6 +6,31 @@ valuation, cap) to reproduce the failing step.
 """
 from __future__ import annotations
 
+__all__ = [
+    "WachdeformError",
+    "ParamMismatch",
+    "DivisionByNonUnit",
+    "ZeroInput",
+    "RamifiedUnsupported",
+    "OutOfConvergenceDomain",
+    "HenselCriterionFails",
+    "SlopesNotDistinct",
+    "InexactDivision",
+    "SeedSingular",
+    "PrecisionExhausted",
+    "MalformedFile",
+    "VersionMismatch",
+    "NotAGenerator",
+    "ValuationFloorUnreachable",
+    "DefectNotDivisible",
+    "NeumannDivergence",
+    "BoundViolated",
+    "PreconditionFails",
+    "DomainError",
+    "NonpositiveValuation",
+    "NormViolation",
+]
+
 
 class WachdeformError(Exception):
     """Base class for all library errors."""

@@ -91,6 +91,12 @@ def check_odd_prime(p: int) -> None:
         raise DomainError(f"p must be an odd prime, got {p}")
 
 
+def check_ramification(e: int) -> None:
+    """Refuse a ramification index below 1."""
+    if e < 1:
+        raise DomainError(f"ramification index must be >= 1, got {e}")
+
+
 @lru_cache(maxsize=None)
 def _ppow(p: int, t: int) -> int:
     return p ** t
@@ -131,8 +137,7 @@ class PadicParams:
 
     def __post_init__(self) -> None:
         check_odd_prime(self.p)
-        if self.e < 1:
-            raise DomainError(f"ramification index must be >= 1, got {self.e}")
+        check_ramification(self.e)
         if self.prec_pi < 1:
             raise PrecisionExhausted("prec_pi must be >= 1")
         if self.prec_pi > MAX_PREC_PI:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .deform import deform_trace, DeformCertificate
+from .deform import DeformCertificate, check_request, deform_trace
 from .errors import (
     DomainError,
     InexactDivision,
@@ -274,15 +274,17 @@ def hypothesis_star(p: int, v_ap, m) -> int:
 def weight_step(w: WachData, m) -> tuple[WachData, DeformCertificate]:
     """One step along the weight direction: deform a_p to a_p + p^(k-1)/a_p.
 
-    Refused outright unless hypothesis (*) holds for (k, v(a_p), m); under (*)
-    the perturbation has v(eps) = k - 1 - v(a_p), which the delegated
-    deformation re-checks against its own bound.
+    After the refusals of `check_request` up to the level, refused outright at
+    a_p = 0 and unless hypothesis (*) holds for (k, v(a_p), m); under (*) the
+    perturbation has v(eps) = k - 1 - v(a_p), which the delegated deformation
+    re-checks against its own bound.
     """
     params = w.params
+    m = check_request(params.p, w.chi_gamma, w.k, params.e, m)[0]
     v_ap = val(w.a_p)
     if v_ap is None:
         raise ZeroInput("weight step undefined at a_p = 0 (v(eps) would be infinite)")
-    k_min = hypothesis_star(params.p, v_ap, Fraction(m))
+    k_min = hypothesis_star(params.p, v_ap, m)
     if w.k < k_min:
         raise PreconditionFails(
             f"(*) fails: k = {w.k} < {k_min} for (p, v(a_p), m) = "

@@ -711,7 +711,11 @@ def load_wach(path: str | Path) -> WachData:
         raise MalformedFile(f"weight k must be >= 2, got {k}")
     if nx < 2:
         raise MalformedFile(f"prec_x must be >= 2, got {nx}")
-    chi = _elt_digits(obj.get("chi_gamma"), params, "chi_gamma")[0][0]
+    (chi, *high), cap = _elt_digits(obj.get("chi_gamma"), params, "chi_gamma")
+    if cap < prec_pi or any(high):
+        raise MalformedFile(
+            f"chi_gamma must encode an integer: cap {prec_pi}, no digits past the first"
+        )
     if chi < 2:
         raise MalformedFile(f"chi_gamma must encode an integer >= 2, got {chi}")
     a_p = PadicElt(params, *_elt_digits(obj.get("a_p"), params, "a_p"))

@@ -1,12 +1,17 @@
 """Exit-code contract and output determinism of the command-line front door."""
+import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
+import shlex
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,8 +20,15 @@ from hypothesis import strategies as st
 from wachdeform import cli, deform
 from wachdeform.cli import main
 from wachdeform.deform import alpha, deform_trace, deformation_bound
-from wachdeform.errors import BoundViolated
+from wachdeform.errors import (
+    BoundViolated,
+    DomainError,
+    NotAGenerator,
+    PreconditionFails,
+    WachdeformError,
+)
 from wachdeform.padics import MAX_PREC_PI, PadicElt, PadicParams, vp
+from wachdeform.trianguline import weight_step
 from wachdeform.wach import check_axioms, load_wach, save_wach, seed_companion
 
 from test_wach import JUNK, mutated_text
@@ -138,6 +150,24 @@ def test_verify_non_finite_number_is_malformed(tmp_path, capsys, old, new):
     assert main(["verify", "--in", str(path)]) == 5
     err = capsys.readouterr().err
     assert err.startswith("input: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("chi", [
+    {"cap": "1", "digits": ["5"]}, {"cap": "2", "digits": ["11"]},
+])
+@pytest.mark.parametrize("cmd", [["verify"], ["weightstep", "--m", "1"]])
+def test_inexact_chi_gamma_file_is_malformed(tmp_path, capsys, chi, cmd):
+    # both once loaded as chi(gamma) = 2, and verify passed
+    path = tmp_path / "mod.json"
+    assert main(SMALL_SEED + ["--out", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    obj["chi_gamma"] = chi
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(cmd + ["--in", str(path)]) == 5
+    assert capsys.readouterr() == (
+        "", "input: chi_gamma must encode an integer: cap 12, no digits past the first\n"
+    )
 
 
 def test_seed_singular_point_exit_code():
@@ -504,6 +534,121 @@ def test_bad_ring_refused_before_bad_level(cmd, tmp_path, capsys):
     assert not out.exists()
 
 
+# --------------------------------------------------------------------------- #
+# one refusal order, deform.check_request: p, chi(gamma), k, e, the level, the
+# bound; then precision.  Each row pairs two faults and expects the first.
+# --------------------------------------------------------------------------- #
+
+P_BAD = "p must be an odd prime, got 4"
+CHI_BAD = "chi(gamma) = 4 does not topologically generate Z_3^x"
+K_BAD = "weight must be >= 2, got 1"
+E_BAD = "ramification index must be >= 1, got 0"
+M_BAD = "congruence level must lie in (1/1)Z_(>=1), got {}"
+BOUND_BAD = "v(a_p - a'_p) = 0 < 2 v(a_p) + alpha(k-1) + m = 3"
+AP_ZERO = "a_p = 0 admits only the identity deformation"
+STAR_BAD = "(*) fails: k = 2 < 17 for (p, v(a_p), m) = (3, 1, 1)"
+
+
+@cache
+def _stored(ap=3, chi=2):
+    """A weight-2 module over Z_3 at cap 24, with chi(gamma) replaced afterwards."""
+    params = PadicParams(3, 1, 24)
+    w = seed_companion(params, 2, PadicElt.from_int(params, ap), 2, 16)
+    return dataclasses.replace(w, chi_gamma=chi)
+
+
+def _trace(ap_new, m, **stored):
+    def call():
+        w = _stored(**stored)
+        return deform_trace(w, PadicElt.from_int(w.params, ap_new), m)
+    return call
+
+
+def _step(m, **stored):
+    return lambda: weight_step(_stored(**stored), m)
+
+
+def _pair(name, call, error, message):
+    return pytest.param(call, error, message, id=name)
+
+
+D = "--k 2 --ap 3 --ap-new 4"        # v(eps) = 0 < bound 3 at m = 1
+G = "--k-range 2:2 --ap-list 3"
+FAULT_PAIRS = [   # (command line or library call, error class, message)
+    _pair("seed p>chi", "seed --p 4 --chi-gamma 4 --k 2 --ap 3", DomainError, P_BAD),
+    _pair("deform p>chi", f"deform --p 4 --chi-gamma 4 {D} --m 1", DomainError, P_BAD),
+    _pair("scan p>chi", f"scan --p 4 --chi-gamma 4 {G} --m 1", DomainError, P_BAD),
+    # scan checks its --k-range before the request: chi with e there
+    _pair("seed chi>k", "seed --p 3 --chi-gamma 4 --k 1 --ap 3", NotAGenerator, CHI_BAD),
+    _pair("deform chi>k", "deform --p 3 --chi-gamma 4 --k 1 --ap 3 --ap-new 4 --m 1",
+          NotAGenerator, CHI_BAD),
+    _pair("scan chi>e", f"scan --p 3 --chi-gamma 4 --e 0 {G} --m 1", NotAGenerator, CHI_BAD),
+    _pair("deform_trace chi>m", _trace(4, 0, chi=4), NotAGenerator, CHI_BAD),
+    _pair("seed k>e", "seed --p 3 --e 0 --k 1 --ap 3", DomainError, K_BAD),
+    _pair("deform k>e", "deform --p 3 --e 0 --k 1 --ap 3 --ap-new 4 --m 1", DomainError, K_BAD),
+    # seed has no level: e with --prec-x there
+    _pair("seed e>prec", "seed --p 3 --e 0 --k 2 --ap 3 --prec-x 0", DomainError, E_BAD),
+    _pair("deform e>m", f"deform --p 3 --e 0 {D} --m 0", DomainError, E_BAD),
+    _pair("scan e>m", f"scan --p 3 --e 0 {G} --m 0", DomainError, E_BAD),
+    # scan derives a'_p to meet the bound: m with --prec-pi there
+    _pair("deform m>bound", f"deform --p 3 {D} --m 0", DomainError, M_BAD.format(0)),
+    _pair("scan m>prec", f"scan --p 3 {G} --m 0 --prec-pi 5", DomainError, M_BAD.format(0)),
+    _pair("deform_trace m>bound", _trace(4, 0), DomainError, M_BAD.format(0)),
+    _pair("deform bound>prec", f"deform --p 3 {D} --m 1 --prec-pi 5", BoundViolated, BOUND_BAD),
+    _pair("deform ap0>m", "deform --p 3 --k 2 --ap 0 --ap-new 9 --m 0",
+          DomainError, M_BAD.format(0)),
+    _pair("deform_trace ap0>m", _trace(9, 0, ap=0), DomainError, M_BAD.format(0)),
+    _pair("deform ap0>prec", "deform --p 3 --k 2 --ap 0 --ap-new 9 --m 1 --prec-pi 5",
+          BoundViolated, AP_ZERO),
+    _pair("deform_trace ap0", _trace(9, 1, ap=0), BoundViolated, AP_ZERO),
+    # the weight step: the request, then a_p = 0, then (*)
+    _pair("weightstep m>star", "weightstep --in @3:2 --m 1/2", DomainError, M_BAD.format("1/2")),
+    _pair("weightstep m0>star", "weightstep --in @3:2 --m 0", DomainError, M_BAD.format(0)),
+    _pair("weightstep chi>star", "weightstep --in @3:4 --m 1", NotAGenerator, CHI_BAD),
+    _pair("weightstep m>ap0", "weightstep --in @0:2 --m 0", DomainError, M_BAD.format(0)),
+    _pair("weightstep star", "weightstep --in @3:2 --m 1", PreconditionFails, STAR_BAD),
+    _pair("weight_step m>star", _step(Fraction(1, 2)), DomainError, M_BAD.format("1/2")),
+    _pair("weight_step m0>star", _step(0), DomainError, M_BAD.format(0)),
+    _pair("weight_step chi>star", _step(1, chi=4), NotAGenerator, CHI_BAD),
+    _pair("weight_step m>ap0", _step(0, ap=0), DomainError, M_BAD.format(0)),
+    _pair("weight_step star", _step(1), PreconditionFails, STAR_BAD),
+]
+
+
+@pytest.mark.parametrize("call, error, message", FAULT_PAIRS)
+def test_fault_pairs_refuse_in_the_documented_order(call, error, message, monkeypatch,
+                                                   tmp_path, capsys):
+    if callable(call):
+        with pytest.raises(WachdeformError) as info:
+            call()
+        assert (type(info.value), str(info.value)) == (error, message)
+        return
+    monkeypatch.setattr(cli, "seed_companion", _no_seeding)
+    argv = call.split() + ["--out", str(tmp_path / "out")]
+    for i, arg in enumerate(argv):
+        if arg.startswith("@"):     # @a_p:chi names a stored module file
+            ap, chi = map(int, arg[1:].split(":"))
+            argv[i] = str(tmp_path / "mod.json")
+            save_wach(_stored(ap, chi), argv[i])
+    refused = error in (BoundViolated, PreconditionFails)
+    assert main(argv) == (2 if refused else 1)
+    line = f"refused: {message}" if refused else f"error: {error.__name__}: {message}"
+    assert capsys.readouterr() == ("", line + "\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_option_has_help():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    missing = [
+        (name, action.option_strings[0])
+        for name, sp in sub.choices.items()
+        for action in sp._actions
+        if action.option_strings and not action.help
+    ]
+    assert missing == []
+
+
 def test_scan_parser_namespace_unchanged():
     # scan takes its ring flags from the shared helper: same dests, types and defaults
     full = cli.build_parser().parse_args([
@@ -706,3 +851,31 @@ def test_cli_import_leaves_process_pool_out():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# --------------------------------------------------------------------------- #
+# README examples
+# --------------------------------------------------------------------------- #
+
+def _readme_examples():
+    """(command, annotation) for each `wachdeform` line of the README's CLI block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [tuple(part.strip() for part in (line.split("#", 1) + [""])[:2])
+            for line in lines if line.startswith("wachdeform ")]
+
+
+def test_readme_examples_match_their_annotations(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)     # the examples write w2.json, cert.json, scan_out
+    examples = _readme_examples()
+    assert len(examples) == 10
+    for command, note in examples:
+        code = main(shlex.split(command)[1:])
+        out = capsys.readouterr().out
+        if note.startswith("exit "):            # "exit 2 (bound)"
+            assert code == int(note.split()[1]), command
+        elif note.isdigit():                     # a printed value
+            assert (code, out.strip()) == (0, note), command
+        else:
+            assert code == 0, command

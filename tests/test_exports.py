@@ -26,3 +26,13 @@ def test_star_import_resolves_every_exported_name(name):
     module = importlib.import_module(name)
     for attr in getattr(module, "__all__", ()):
         assert namespace[attr] is getattr(module, attr), (name, attr)
+
+
+def test_package_exports_exactly_the_module_exports():
+    union = [
+        name
+        for sub in ("deform", "errors", "padics", "series", "trianguline", "wach")
+        for name in importlib.import_module(f"wachdeform.{sub}").__all__
+    ]
+    assert len(union) == len(set(union))
+    assert sorted(wachdeform.__all__) == sorted(union)

@@ -815,6 +815,28 @@ def test_load_nonexistent_path(tmp_path):
         load_wach(tmp_path / "missing.json")
 
 
+@pytest.mark.parametrize("params, chi", [
+    (P3, {"cap": "1", "digits": ["5"]}),            # 5 = 2 mod 3 once read at cap 1
+    (P3, {"cap": "2", "digits": ["11"]}),           # 11 = 2 mod 9
+    (P3, {"cap": "19", "digits": ["2"]}),           # one below prec_pi
+    (PadicParams(3, 2, 20), {"cap": "20", "digits": ["2", "1"]}),   # 2 + pi
+])
+def test_load_rejects_inexact_chi_gamma(tmp_path, params, chi):
+    # chi(gamma) is an integer the Gamma action raises (1 + x) to: a file that
+    # only fixes it modulo a power of pi once loaded as some integer >= 2
+    path = tmp_path / "w.json"
+    save_wach(seed_k2(params), path)
+    obj = json.loads(path.read_text())
+    assert obj["chi_gamma"] == {"cap": "20", "digits": ["2"] + ["0"] * (params.e - 1)}
+    obj["chi_gamma"] = chi
+    text = json.dumps(obj)
+    path.write_text(text)
+    message = "chi_gamma must encode an integer: cap 20, no digits past the first"
+    for load in (lambda: load_wach(path), lambda: ref_load_text(text)):
+        with pytest.raises(MalformedFile, match=f"^{message}$"):
+            load()
+
+
 # --------------------------------------------------------------------------
 # persistence against the PadicElt-per-coefficient save and load it replaced,
 # kept here as references: the same bytes out, and on any file the same
@@ -909,7 +931,12 @@ def ref_load_text(text):
         raise MalformedFile(f"weight k must be >= 2, got {k}")
     if nx < 2:
         raise MalformedFile(f"prec_x must be >= 2, got {nx}")
-    chi = ref_elt_from(obj.get("chi_gamma"), params, "chi_gamma").digits[0]
+    chi_elt = ref_elt_from(obj.get("chi_gamma"), params, "chi_gamma")
+    if chi_elt.cap != prec_pi or any(chi_elt.digits[1:]):
+        raise MalformedFile(
+            f"chi_gamma must encode an integer: cap {prec_pi}, no digits past the first"
+        )
+    chi = chi_elt.digits[0]
     if chi < 2:
         raise MalformedFile(f"chi_gamma must encode an integer >= 2, got {chi}")
     a_p = ref_elt_from(obj.get("a_p"), params, "a_p")
