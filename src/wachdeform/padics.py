@@ -65,7 +65,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
@@ -103,7 +103,9 @@ def _ppow(p: int, t: int) -> int:
 
 
 def vp(q: int | Fraction, p: int) -> int:
-    """p-adic valuation of a nonzero integer or rational."""
+    """p-adic valuation of a nonzero integer or rational, for p >= 2."""
+    if p < 2:
+        raise DomainError(f"valuation base must be >= 2, got {p}")
     if q == 0:
         raise ZeroInput("vp(0) undefined")
     if type(q) is Fraction:   # an exact type test: isinstance goes through ABC dispatch

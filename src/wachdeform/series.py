@@ -107,10 +107,6 @@ def _conv(x, y, n: int, red=sum, op=mul) -> list[int]:
             + [red(map(op, x[k - ly + 1:], ry)) for k in range(ly, m)])
 
 
-def _scalar(x, d: int) -> list[int]:
-    return [d * v for v in x]
-
-
 # --------------------------------------------------------------------------- #
 # scalar series
 # --------------------------------------------------------------------------- #

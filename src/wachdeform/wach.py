@@ -622,9 +622,19 @@ def _matrix_text(m: MatrixSeries) -> str:
 
 
 def save_wach(w: WachData, path: str | Path) -> None:
-    """Write module data as deterministic structured text (sorted keys)."""
+    """Write module data as deterministic structured text (sorted keys).
+
+    chi_gamma is written as an integer at cap prec_pi, so one of
+    p^ceil(prec_pi/e) or more is refused before anything is written.
+    """
     params = w.params
-    chi = _canon(params, [w.chi_gamma] + [0] * (params.e - 1), params.prec_pi)
+    t = -(-params.prec_pi // params.e)
+    if w.chi_gamma >= params.p ** t:
+        raise DomainError(
+            f"chi_gamma {w.chi_gamma} does not fit a file at prec_pi {params.prec_pi}: "
+            f"it must be below p^{t}"
+        )
+    chi = [w.chi_gamma] + [0] * (params.e - 1)
     fields = [   # in sorted key order
         ("G", _matrix_text(w.G)), ("P", _matrix_text(w.P)),
         ("a_p", _elt_text(w.a_p.digits, w.a_p.cap, 1)),

@@ -170,6 +170,18 @@ def test_inexact_chi_gamma_file_is_malformed(tmp_path, capsys, chi, cmd):
     )
 
 
+def test_seed_refuses_chi_gamma_past_the_file_cap(tmp_path, capsys):
+    # 3^20 + 2 reduced at cap 20 would be stored as chi(gamma) = 2
+    path = tmp_path / "m.json"
+    argv = ["seed", "--p", "3", "--k", "2", "--ap", "3", "--chi-gamma", str(3**20 + 2),
+            "--prec-pi", "20", "--out", str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: DomainError: chi_gamma {3**20 + 2} does not fit a file at "
+                   "prec_pi 20: it must be below p^20\n")
+    assert not path.exists()
+
+
 def test_seed_singular_point_exit_code():
     # k = 4, a_p = 3: the order-1 linear system has no integral solution
     assert main(["seed", "--p", "3", "--k", "4", "--ap", "3"]) == 4

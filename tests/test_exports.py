@@ -1,6 +1,9 @@
-"""Export lists: every module star-imports, and every name in an ``__all__`` exists."""
+"""Export lists: every module star-imports, and every name in an ``__all__`` exists.
+No module-level private helper is left unused."""
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -36,3 +39,37 @@ def test_package_exports_exactly_the_module_exports():
     ]
     assert len(union) == len(set(union))
     assert sorted(wachdeform.__all__) == sorted(union)
+
+
+def _defined_names(stmt):
+    """Names a module-level def, class or assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else (
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _read_names(node):
+    """Names and attributes the node reads."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if (isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store))
+            or isinstance(n, ast.Attribute)}
+
+
+def test_every_private_helper_is_used_in_src():
+    # a _name defined at module level must be read by some other module-level
+    # statement of src/, so helpers left behind by a rewrite cannot stay
+    stmts = [
+        (path.stem, stmt)
+        for path in sorted(Path(wachdeform.__file__).parent.glob("*.py"))
+        for stmt in ast.parse(path.read_text()).body
+    ]
+    unused = [
+        f"{module}.{name}"
+        for module, stmt in stmts
+        for name in _defined_names(stmt)
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in _read_names(other) for _, other in stmts if other is not stmt)
+    ]
+    assert unused == []

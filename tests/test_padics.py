@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -106,6 +107,24 @@ def test_vp_integers_and_rationals():
     for zero in (0, Fraction(0)):
         with pytest.raises(ZeroInput):
             vp(zero, 3)
+
+
+@pytest.mark.parametrize("p", [0, 1, -1])
+def test_vp_refuses_base_below_two(p):
+    # 1 and -1 divide every integer, so an unguarded loop never ends: a timer
+    # turns that hang into a failure
+    def hang(signum, frame):
+        raise TimeoutError(f"vp(., {p}) did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        for q in (3, Fraction(2, 3)):
+            with pytest.raises(DomainError, match=f"got {p}$"):
+                vp(q, p)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_param_mismatch_raises():

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 import random
-from operator import add, mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,14 +15,14 @@ from wachdeform.series import (
     MatrixSeries,
     PadicSeries,
     _int_binom,
-    _reduce,
-    _ring_product,
     _subst_table,
     cyclotomic_q,
     div_distinguished,
     mat_frobenius,
     substitute_onepx_power,
 )
+
+from refs import capped_elts, elt_view, kernel_view, ref_mul
 
 P3 = PadicParams(3, 1, 20)
 P5 = PadicParams(5, 1, 12)
@@ -230,25 +229,17 @@ def test_div_distinguished_truncation_caps_are_honest():
 
 
 # --------------------------------------------------------------------------
-# the integer kernel against element-by-element reference loops
+# each kernel against its one reference
 # --------------------------------------------------------------------------
-# The references below are the series operations written over PadicElt, one
-# coefficient at a time.  Every coefficient's digits and cap must agree, so
-# the operands mix caps: exact zeros (cap prec_pi), zeros known only to a low
-# cap, and nonzero coefficients at every cap.
-
-def ref_mul(f, g):
-    params, n = f.params, min(f.nx, g.nx)
-    zero = PadicElt.zero(params)
-    out = [zero] * n
-    for i, a in enumerate(f.coeffs[:n]):
-        if a.is_zero_at_cap() and a.cap >= params.prec_pi:
-            continue
-        for j, b in enumerate(g.coeffs[: n - i]):
-            t = a * b
-            out[i + j] = t if out[i + j] is zero else out[i + j] + t
-    return out
-
+# One element-level reference per kernel: `ref_mul` (refs.py) for the product,
+# `ref_subst` for the substitution, `ref_div_distinguished` for the division;
+# `ref_subst_table` builds the power tables with the product `ref_mul` checks.
+# The element-level ones are written over PadicElt coefficients one at a time,
+# so they reach the integer helpers only through the element arithmetic that
+# test_padics.py checks.  A kernel must agree with its reference on digits,
+# caps, valuations, support, and exception class and message, so the operands
+# mix caps: exact zeros (cap prec_pi), zeros known only to a low cap, and
+# nonzero coefficients at every cap.
 
 def ref_subst(f, c):
     params, n = f.params, f.nx
@@ -257,7 +248,7 @@ def ref_subst(f, c):
         for j in range(1, n)
     ]
     u = PadicSeries(params, [PadicElt.zero(params)] + base, n)
-    powers = [PadicSeries.one(params, n)]
+    powers = [PadicSeries(params, [PadicElt.one(params)], n)]
     for _ in range(1, n):
         powers.append(PadicSeries(params, ref_mul(powers[-1], u), n))
     acc = [PadicElt.zero(params)] * n
@@ -284,20 +275,6 @@ def digits_and_caps(xs):
 
 
 RINGS = [PadicParams(3, 1, 9), PadicParams(5, 1, 7), PadicParams(3, 2, 9)]
-
-
-@st.composite
-def capped_elts(draw, params):
-    kind = draw(st.sampled_from(["exact_zero", "low_zero", "any", "full"]))
-    prec = params.prec_pi
-    if kind == "exact_zero":
-        return PadicElt.zero(params)
-    cap = prec if kind == "full" else draw(st.integers(1, prec - (kind == "low_zero")))
-    if kind == "low_zero":
-        return PadicElt.zero(params, cap)
-    bound = params.p ** prec
-    digits = draw(st.lists(st.integers(-bound, bound), min_size=params.e, max_size=params.e))
-    return PadicElt(params, digits, cap)
 
 
 @st.composite
@@ -334,8 +311,7 @@ def test_substitution_matches_elementwise_reference(fgc, c):
 
 
 # --------------------------------------------------------------------------
-# Weierstrass division and the substitution tables against the element-wise
-# bodies they replaced, kept here as references
+# Weierstrass division and the substitution tables
 # --------------------------------------------------------------------------
 
 def ref_div_distinguished(f, dpoly, d):
@@ -464,70 +440,10 @@ def test_subst_table_matches_series_powers():
 
 
 # --------------------------------------------------------------------------
-# the support-aware kernels against the full-length integer bodies they
-# replaced, kept here as references.  Operands carry exact-zero tails, whole
-# exact-zero series, zeros known only below prec_pi (which still bind) and
-# exact series (every cap prec_pi), whose bounds are skipped.
+# the support-aware kernels.  Operands carry exact-zero tails, whole exact-zero
+# series, zeros known only below prec_pi (which still bind) and exact series
+# (every cap prec_pi), whose bounds are skipped.
 # --------------------------------------------------------------------------
-
-def ref_conv(x, y, n):
-    ry = y[n - 1::-1]
-    return [sum(map(mul, x, ry[n - 1 - k:])) for k in range(n)]
-
-
-def ref_min_conv(x, y, n):
-    ry = y[n - 1::-1]
-    return [min(map(add, x, ry[n - 1 - k:])) for k in range(n)]
-
-
-def ref_series(params, raw, caps):
-    caps = tuple(caps)
-    return PadicSeries._make(params, _reduce(params, raw, caps), caps)
-
-
-def ref_kernel_mul(f, g):
-    n = min(f.nx, g.nx)
-    prec = f.params.prec_pi
-    raw = _ring_product(f.params, f.planes, g.planes, lambda x, y: ref_conv(x, y, n))
-    ca, cb = f.caps[:n], g.caps[:n]
-    va, vb = f._valuations()[:n], g._valuations()[:n]
-    caps = [prec] * n
-    if min(ca) + min(vb) < prec:
-        caps = list(map(min, caps, ref_min_conv(ca, vb, n)))
-    if min(cb) + min(va) < prec:
-        caps = list(map(min, caps, ref_min_conv(va, cb, n)))
-    return ref_series(f.params, raw, caps)
-
-
-def ref_kernel_subst(f, c):
-    params, n = f.params, f.nx
-    prec = params.prec_pi
-    planes, caps, vals = ref_subst_table(params, n, c)
-    least_cap = min(map(min, caps))
-    raw = _ring_product(
-        params, f.planes, planes, lambda x, cols: [sum(map(mul, x, col)) for col in cols]
-    )
-    cf, vf = f.caps, f._valuations()
-    out = [prec] * n
-    if min(cf) < prec:
-        out = [min(o, min(map(add, cf, v))) for o, v in zip(out, vals)]
-    if min(vf) + least_cap < prec:
-        out = [min(o, min(map(add, vf, cc))) for o, cc in zip(out, caps)]
-    return ref_series(params, raw, out)
-
-
-def ref_support(f):
-    """1 + the last index holding anything but an exact zero."""
-    prec = f.params.prec_pi
-    nonzero = [j for j, x in enumerate(f.coeffs) if x.cap < prec or not x.is_zero_at_cap()]
-    return nonzero[-1] + 1 if nonzero else 0
-
-
-def kernel_view(f):
-    """Digits, caps, valuations and support of a series, the support checked too."""
-    assert f._support() == ref_support(f)
-    return f.planes, f.caps, f._valuations(), f._support()
-
 
 @st.composite
 def tailed_series(draw, params, nx):
@@ -559,8 +475,8 @@ BIND = PadicElt(P9, [1], P9.prec_pi - 1)   # a unit one digit short: its bounds 
 @example((PadicSeries(P9, [PadicElt.zero(P9, 8)], 2), PadicSeries(P9, [PadicElt.one(P9)], 2)))
 def test_support_mul_matches_full_length_kernel(fg):
     f, g = fg
-    assert kernel_view(f * g) == kernel_view(ref_kernel_mul(f, g))
-    assert kernel_view(g * f) == kernel_view(ref_kernel_mul(g, f))
+    assert kernel_view(f * g) == elt_view(ref_mul(f, g))
+    assert kernel_view(g * f) == elt_view(ref_mul(g, f))
 
 
 @settings(max_examples=100, deadline=None)
@@ -580,4 +496,4 @@ def test_cached_substitution_equals_fresh(fg, c):
 @example((PadicSeries(P9, [PadicElt.zero(P9, 8), PadicElt.one(P9)], 3), None), 2)
 def test_support_subst_matches_full_length_kernel(fg, c):
     f = fg[0]
-    assert kernel_view(substitute_onepx_power(f, c)) == kernel_view(ref_kernel_subst(f, c))
+    assert kernel_view(substitute_onepx_power(f, c)) == elt_view(ref_subst(f, c))

@@ -1,10 +1,10 @@
 """Companion seeds, axiom verification, and the on-disk module format."""
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 from fractions import Fraction
-from itertools import repeat
-from operator import add, mod
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,22 +21,11 @@ from wachdeform.errors import (
     VersionMismatch,
     WachdeformError,
 )
-from wachdeform.padics import (
-    PadicElt,
-    PadicParams,
-    _canon,
-    _pi_div_digits,
-    _ring_mul,
-    _valpi_or_cap,
-    _valpi_or_caps,
-)
+from wachdeform.padics import PadicElt, PadicParams
 from wachdeform.series import (
     Mat2,
     MatrixSeries,
     PadicSeries,
-    _reduce,
-    _ring_product,
-    _scalar,
     cyclotomic_q,
     mat_frobenius,
     mat_gamma,
@@ -54,6 +43,8 @@ from wachdeform.wach import (
     save_wach,
     seed_companion,
 )
+
+from refs import KINDS, capped_elts, elt_view, kernel_view, ref_mul
 
 P3 = PadicParams(3, 1, 20)
 CHI = 2
@@ -240,11 +231,16 @@ def test_weight4_obstruction_witness():
 
 
 # --------------------------------------------------------------------------
-# the solver's integer kernel against the Mat2 / MatrixSeries bodies it
-# replaced, kept here as references: digits, cap and exception class of every
-# entry must agree.  Operands mix exact zeros, zeros known to a low cap and
-# nonzero elements at every cap, over e = 1 and e = 2.
+# the solver's integer kernels against their references
 # --------------------------------------------------------------------------
+# One element-level reference per kernel: `ref_contract` for `_contract`,
+# `ref_update` for `_add_correction`, `ref_mul` (refs.py) for `_times_q`.  Each
+# is written over PadicElt / Mat2 values, so it reaches the integer helpers
+# only through the element arithmetic that test_padics.py checks (`ref_update`
+# also adds series, which test_series.py checks against element sums).  The
+# kernel must agree with it on digits, caps, valuations, support, and exception
+# class and message.  Operands mix exact zeros, zeros known to a low cap and
+# nonzero elements at every cap, over e = 1 and e = 2.
 
 def ref_contract(p0, adj0, c, k, j, not_divisible, diverged):
     params = p0.a.params
@@ -303,31 +299,17 @@ def ref_update(defect, pq, gamma_p, s, j):
 KERNEL_RINGS = [
     PadicParams(3, 1, 9), PadicParams(5, 1, 7), PadicParams(3, 2, 9), PadicParams(3, 2, 5),
 ]
-
-
-KINDS = ("exact_zero", "low_zero", "any", "full")
-
-
-@st.composite
-def kernel_elts(draw, params, factor=1, kinds=KINDS):
-    kind = draw(st.sampled_from(kinds))
-    prec = params.prec_pi
-    if kind == "exact_zero":
-        return PadicElt.zero(params)
-    cap = prec if kind == "full" else draw(st.integers(1, prec - (kind == "low_zero")))
-    if kind == "low_zero":
-        return PadicElt.zero(params, cap)
-    bound = params.p ** prec
-    digits = draw(st.lists(st.integers(-bound, bound), min_size=params.e, max_size=params.e))
-    return PadicElt(params, [factor * d for d in digits], cap)
+P9 = KERNEL_RINGS[0]
+ONE = PadicElt.one(P9)
+SHORT = PadicElt(P9, [1], P9.prec_pi - 1)   # a unit one digit short: its bounds read prec_pi - 1
 
 
 def kernel_mats(params, factor=1, kinds=KINDS):
-    return st.builds(Mat2, *[kernel_elts(params, factor, kinds)] * 4)
+    return st.builds(Mat2, *[capped_elts(params, factor, kinds)] * 4)
 
 
 def kernel_series(params, nx):
-    elts = st.lists(kernel_elts(params), min_size=nx, max_size=nx)
+    elts = st.lists(capped_elts(params), min_size=nx, max_size=nx)
     return st.builds(lambda cs: PadicSeries(params, cs, nx), elts)
 
 
@@ -362,22 +344,51 @@ def contraction_case(draw):
     return params, p0, c, k, j
 
 
-@settings(max_examples=200, deadline=None)
-@given(contraction_case())
-def test_contract_kernel_matches_reference(case):
+def not_divisible(j, exc):
+    return SeedSingular(j, f"not divisible: {exc}")
+
+
+def diverged(j, sweeps):
+    return NeumannDivergence(f"order {j}: {sweeps} sweeps")
+
+
+def contract_outcomes(case):
+    """`outcome` of the kernel and of `ref_contract` on one contraction case."""
     params, p0, c, k, j = case
-    adj0 = p0.adj()
-
-    def not_divisible(j, exc):
-        return SeedSingular(j, f"not divisible: {exc}")
-
-    def diverged(j, sweeps):
-        return NeumannDivergence(f"order {j}: {sweeps} sweeps")
-
-    want = outcome(lambda: ref_contract(p0, adj0, c, k, j, not_divisible, diverged))
     got = outcome(lambda: _contract(
         params, _contraction_maps(p0), _triples(c), k, j, not_divisible, diverged
     ))
+    return got, outcome(lambda: ref_contract(p0, p0.adj(), c, k, j, not_divisible, diverged))
+
+
+def _bare(m):
+    return [[list(map(list, f.planes)), list(f.caps)] for f in m.entries()]
+
+
+def update_outcomes(case):
+    """D after `_add_correction` and after `ref_update`, as [planes, caps] lists."""
+    params, j, defect, pq, gamma_p, s = case
+    got = _bare(defect)
+    _add_correction(params, got, pq.entries(), gamma_p.entries(), _triples(s), j)
+    return got, _bare(ref_update(defect, pq, gamma_p, s, j))
+
+
+def times_q_outcomes(case):
+    """`_times_q` and `ref_mul` on f cut to x-order n times Q, coefficient by coefficient."""
+    params, n, f = case
+    q = cyclotomic_q(params, f.nx)
+    qs = list(zip(q.planes[0], q._valuations()))[: params.p]
+    return kernel_view(_times_q(params, f, qs, n)), elt_view(ref_mul(f.reduce_nx(n), q))
+
+
+@settings(max_examples=200, deadline=None)
+@given(contraction_case())
+# an exact C with a unit entry against adj(P0) one digit short: only adj(P0)'s
+# cap bounds R0
+@example((P9, Mat2(ONE, fi(3, P9), fi(0, P9), fi(3, P9).reduce_cap(8)),
+          Mat2(ONE, *[PadicElt.zero(P9)] * 3), 2, 2))
+def test_contract_kernel_matches_reference(case):
+    got, want = contract_outcomes(case)
     assert got == want
 
 
@@ -395,13 +406,8 @@ def update_case(draw):
 @settings(max_examples=80, deadline=None)
 @given(update_case())
 def test_defect_update_kernel_matches_reference(case):
-    params, j, defect, pq, gamma_p, s = case
-    d = [[list(map(list, e.planes)), list(e.caps)] for e in defect.entries()]
-    _add_correction(params, d, pq.entries(), gamma_p.entries(), _triples(s), j)
-    want = ref_update(defect, pq, gamma_p, s, j)
-    assert [(tuple(map(tuple, planes)), tuple(caps)) for planes, caps in d] == [
-        (e.planes, e.caps) for e in want.entries()
-    ]
+    got, want = update_outcomes(case)
+    assert got == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -411,120 +417,24 @@ def test_defect_update_kernel_matches_reference(case):
     )
 ))
 def test_running_product_kernel_matches_reference(case):
-    params, n, f = case
-    q = cyclotomic_q(params, f.nx)
-    qs = list(zip(q.planes[0], q._valuations()))[: params.p]
-    want = f.reduce_nx(n) * q
-    got = _times_q(params, f, qs, n)
-    assert (got.planes, got.caps, got._valuations()) == (
-        want.planes, want.caps, want._valuations()
-    )
+    got, want = times_q_outcomes(case)
+    assert got == want
 
 
 # --------------------------------------------------------------------------
-# the support-aware kernel against the full-length integer bodies it replaced,
-# kept here as references.  Series entries carry exact-zero tails, may be
+# the support-aware kernels.  Series entries carry exact-zero tails, may be
 # whole exact zeros, may be exact (every cap prec_pi, so their bounds are
 # skipped) or hold zeros known only below prec_pi, which still bind; P0 is
-# exact or not.
+# exact or not, the right-hand side need not be divisible, and at j = k - 1
+# the sweep need not contract.
 # --------------------------------------------------------------------------
-
-def ref_triple(params, raw, cap):
-    ds = _canon(params, raw, cap)
-    return ds, cap, _valpi_or_cap(params, ds, cap)
-
-
-def ref_mat_mul(params, x, y):
-    prec = params.prec_pi
-    out = []
-    for r in (0, 2):
-        (ad, ac, av), (bd, bc, bv) = x[r], x[r + 1]
-        for c in (0, 1):
-            (cd, cc, cv), (dd, dc, dv) = y[c], y[c + 2]
-            out.append((
-                list(map(add, _ring_mul(params, ad, cd), _ring_mul(params, bd, dd))),
-                min(ac + cv, cc + av, bc + dv, dc + bv, prec),
-            ))
-    return out
-
-
-def ref_kernel_contract(params, p0, adj0, c, k, j, not_divisible, diverged):
-    t = params.e * (k - 1)
-    r0 = []
-    for raw, cap in ref_mat_mul(params, c, adj0):
-        try:
-            ds = _pi_div_digits(params, _canon(params, raw, cap), cap, t)
-        except InexactDivision as exc:
-            raise not_divisible(j, exc) from exc
-        r0.append(ref_triple(params, ds, cap - t))
-    pt, et = params.p ** (j - k + 1), params.e * (j - k + 1)
-    sweeps = params.prec_pi + 2
-    s = r0
-    for _ in range(sweeps):
-        ps = [ref_triple(params, raw, cap) for raw, cap in ref_mat_mul(params, p0, s)]
-        s_next = [
-            ref_triple(params, [a + pt * b for a, b in zip(rd, ud)], min(rc, uc + et))
-            for (rd, rc, _), (ud, uc) in zip(r0, ref_mat_mul(params, ps, adj0))
-        ]
-        if s_next == s:
-            return s
-        s = s_next
-    raise diverged(j, sweeps)
-
-
-def ref_kernel_times_q(params, entry, qs, n):
-    planes, caps, _ = entry
-    raw = [[0] * n for _ in planes]
-    out = [params.prec_pi] * n
-    for l, (q, vq) in enumerate(qs[:n]):
-        m = n - l
-        for acc, plane in zip(raw, planes):
-            acc[l:] = map(add, acc[l:], [q * x for x in plane[:m]])
-        out[l:] = map(min, out[l:], [cap + vq for cap in caps[:m]])
-    out = tuple(out)
-    planes = _reduce(params, raw, out)
-    return planes, out, _valpi_or_caps(params, planes, out)
-
-
-def ref_kernel_add_correction(params, d, pq, gp, s, j):
-    moduli = params.digit_tables[0]
-    n = len(d[0][1]) - j
-    neg = [([-x for x in ds], cap, v) for ds, cap, v in s]
-    for r in (0, 2):
-        for c in (0, 1):
-            planes, caps = d[r + c]
-            raw = [plane[j:] for plane in planes]
-            bounds = [caps[j:]]
-            for (sp, sc, sv), (ds, cap, v) in (
-                (pq[r], s[c]), (pq[r + 1], s[c + 2]),
-                (gp[c], neg[r]), (gp[c + 2], neg[r + 1]),
-            ):
-                prod = _ring_product(params, [pl[:n] for pl in sp], ds, _scalar)
-                raw = [map(add, a, z) for a, z in zip(raw, prod)]
-                bounds += [map(add, sv, repeat(cap)), map(add, sc, repeat(v))]
-            new_caps = list(map(min, *bounds))
-            for plane, a, m in zip(planes, raw, moduli):
-                plane[j:] = map(mod, a, map(m.__getitem__, new_caps))
-            caps[j:] = new_caps
-
-
-def tuple_entry(f):
-    return f.planes, f.caps, f._valuations()
-
-
-def ref_support(f):
-    """1 + the last index holding anything but an exact zero."""
-    prec = f.params.prec_pi
-    nonzero = [j for j, x in enumerate(f.coeffs) if x.cap < prec or not x.is_zero_at_cap()]
-    return nonzero[-1] + 1 if nonzero else 0
-
 
 @st.composite
 def tailed_series(draw, params, nx):
     """A head of coefficients, exact zeros after it; exact or not, the head may be empty."""
     head = draw(st.integers(0, nx))
     kinds = draw(st.sampled_from([KINDS, ("exact_zero", "full")]))
-    return PadicSeries(params, draw(st.lists(kernel_elts(params, 1, kinds),
+    return PadicSeries(params, draw(st.lists(capped_elts(params, 1, kinds),
                                              min_size=head, max_size=head)), nx)
 
 
@@ -538,99 +448,6 @@ def support_contraction_case(draw):
     if draw(st.booleans()):   # an exact P0, whose bounds the sweep skips
         p0 = draw(kernel_mats(params, kinds=("exact_zero", "full")))
     return params, p0, c, k, j
-
-
-P9 = KERNEL_RINGS[0]
-ONE = PadicElt.one(P9)
-SHORT = PadicElt(P9, [1], P9.prec_pi - 1)   # a unit one digit short: its bounds read prec_pi - 1
-
-
-# the contraction on integer maps and the update with per-series reads hoisted
-# replaced the support-aware bodies below (2x2 products by `_ring_mul`, each
-# series read per entry), kept here as references too: the two tests after
-# them compare the kernel with both, digits, caps, valuations, exception class
-# and message alike.  P0 is exact or not, the right-hand side need not be
-# divisible, and at j = k - 1 the sweep need not contract.
-
-def ref_least_cap(x):
-    return min(x[0][1], x[1][1], x[2][1], x[3][1])
-
-
-def ref_skip_mat_mul(params, x, y):
-    prec = params.prec_pi
-    xb, yb = ref_least_cap(x) < prec, ref_least_cap(y) < prec
-    out = []
-    for r in (0, 2):
-        (ad, ac, av), (bd, bc, bv) = x[r], x[r + 1]
-        for c in (0, 1):
-            (cd, cc, cv), (dd, dc, dv) = y[c], y[c + 2]
-            cap = prec
-            if xb:
-                cap = min(cap, ac + cv, bc + dv)
-            if yb:
-                cap = min(cap, cc + av, dc + bv)
-            out.append((list(map(add, _ring_mul(params, ad, cd), _ring_mul(params, bd, dd))), cap))
-    return out
-
-
-def ref_skip_contract(params, p0, adj0, c, k, j, not_divisible, diverged):
-    prec, t = params.prec_pi, params.e * (k - 1)
-    exact = ref_least_cap(p0) >= prec
-
-    def triple(ds, cap):
-        return ds, cap, None if exact else _valpi_or_cap(params, ds, cap)
-
-    r0 = []
-    for raw, cap in ref_skip_mat_mul(params, c, adj0):
-        try:
-            ds = _pi_div_digits(params, _canon(params, raw, cap), cap, t)
-        except InexactDivision as exc:
-            raise not_divisible(j, exc) from exc
-        r0.append(triple(ds, cap - t))
-    pt, et = params.p ** (j - k + 1), params.e * (j - k + 1)
-    sweeps = prec + 2
-    s = r0
-    for _ in range(sweeps):
-        ps = [triple(raw, cap) for raw, cap in ref_skip_mat_mul(params, p0, s)]
-        s_next = []
-        for (rd, rc, _), (ud, uc) in zip(r0, ref_skip_mat_mul(params, ps, adj0)):
-            cap = min(rc, uc + et)
-            s_next.append(triple(_canon(params, [a + pt * b for a, b in zip(rd, ud)], cap), cap))
-        if s_next == s:
-            return [ref_triple(params, ds, cap) for ds, cap, _ in s]
-        s = s_next
-    raise diverged(j, sweeps)
-
-
-def ref_support_add_correction(params, d, pq, gp, s, j):
-    moduli, prec = params.digit_tables[0], params.prec_pi
-    n = len(d[0][1]) - j
-    neg = [([-x for x in ds], cap, v) for ds, cap, v in s]
-    for r in (0, 2):
-        for c in (0, 1):
-            terms = [(f, min(f._support(), n), x) for f, x in (
-                (pq[r], s[c]), (pq[r + 1], s[c + 2]), (gp[c], neg[r]), (gp[c + 2], neg[r + 1]),
-            )]
-            h = max(m for _, m, _ in terms)
-            if not h:
-                continue
-            planes, caps = d[r + c]
-            raw = [plane[j:j + h] for plane in planes]
-            new_caps = caps[j:j + h]
-            for f, m, (ds, cap, v) in terms:
-                if not m:
-                    continue
-                prod = _ring_product(params, [pl[:m] for pl in f.planes], ds, _scalar)
-                for acc, z in zip(raw, prod):
-                    acc[:m] = map(add, acc[:m], z)
-                fv, fc = f._valuations()[:m], f.caps[:m]
-                if min(fv) + cap < prec:
-                    new_caps[:m] = map(min, new_caps[:m], [x + cap for x in fv])
-                if min(fc) + v < prec:
-                    new_caps[:m] = map(min, new_caps[:m], [x + v for x in fc])
-            for plane, a, mods in zip(planes, raw, moduli):
-                plane[j:j + h] = map(mod, a, map(mods.__getitem__, new_caps))
-            caps[j:j + h] = new_caps
 
 
 E2 = KERNEL_RINGS[2]
@@ -648,24 +465,7 @@ FIB = Mat2(*(PadicElt.from_int(P9, n) for n in (0, 1, 1, 1)))
 @example((E2, E2_P0, E2_C, 3, 4))                                   # inexact P0, e = 2
 @example((E2, E2_P0, Mat2(*[PadicElt(E2, [0, 3], 9)] * 4), 3, 4))   # not divisible
 def test_contract_matches_full_kernel(case):
-    params, p0, c, k, j = case
-    p0t, adj0t = _triples(p0), _triples(p0.adj())
-
-    def not_divisible(j, exc):
-        return SeedSingular(j, f"not divisible: {exc}")
-
-    def diverged(j, sweeps):
-        return NeumannDivergence(f"order {j}: {sweeps} sweeps")
-
-    want = outcome(lambda: ref_kernel_contract(
-        params, p0t, adj0t, _triples(c), k, j, not_divisible, diverged
-    ))
-    assert outcome(lambda: ref_skip_contract(
-        params, p0t, adj0t, _triples(c), k, j, not_divisible, diverged
-    )) == want
-    got = outcome(lambda: _contract(
-        params, _contraction_maps(p0), _triples(c), k, j, not_divisible, diverged
-    ))
+    got, want = contract_outcomes(case)
     assert got == want
 
 
@@ -678,12 +478,8 @@ def test_contract_matches_full_kernel(case):
 @example((P9, 3, PadicSeries(P9, [SHORT], 4)))
 @example((P9, 3, PadicSeries(P9, [PadicElt.zero(P9, 8), ONE], 4)))
 def test_times_q_matches_full_kernel(case):
-    params, n, f = case
-    q = cyclotomic_q(params, f.nx)
-    qs = list(zip(q.planes[0], q._valuations()))[: params.p]
-    got = _times_q(params, f, qs, n)
-    assert got._support() == ref_support(got)
-    assert tuple_entry(got) == ref_kernel_times_q(params, tuple_entry(f), qs, n)
+    got, want = times_q_outcomes(case)
+    assert got == want
 
 
 @st.composite
@@ -695,10 +491,6 @@ def support_update_case(draw):
     pq = draw(tailed_matrix_series(params, nx - j))
     gamma_p = draw(tailed_matrix_series(params, nx))
     return params, j, defect, pq, gamma_p, draw(kernel_mats(params))
-
-
-def _bare(m):
-    return [[list(map(list, f.planes)), list(f.caps)] for f in m.entries()]
 
 
 @settings(max_examples=200, deadline=None)
@@ -717,13 +509,8 @@ def _bare(m):
           MatrixSeries(*[PadicSeries(E2, [PadicElt.one(E2), E2_UNIT], 5)] * 4),
           E2_C))
 def test_add_correction_matches_full_kernel(case):
-    params, j, defect, pq, gamma_p, s = case
-    got, want, before = _bare(defect), _bare(defect), _bare(defect)
-    _add_correction(params, got, pq.entries(), gamma_p.entries(), _triples(s), j)
-    ref_kernel_add_correction(params, want, [tuple_entry(f) for f in pq.entries()],
-                              [tuple_entry(f) for f in gamma_p.entries()], _triples(s), j)
-    ref_support_add_correction(params, before, pq.entries(), gamma_p.entries(), _triples(s), j)
-    assert got == want == before
+    got, want = update_outcomes(case)
+    assert got == want
 
 
 # --------------------------------------------------------------------------
@@ -748,6 +535,20 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     path2 = tmp_path / "w2.json"
     save_wach(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("params", [P3, PadicParams(3, 2, 20)])
+def test_save_refuses_chi_gamma_past_the_file_cap(tmp_path, params):
+    # chi(gamma) is written at cap prec_pi: 2 + 3^20, or 2 + 3^10 at e = 2, would
+    # be read back as 2, another generator
+    chi = 2 + 3 ** -(-params.prec_pi // params.e)
+    w = seed_companion(params, 2, fi(3, params), chi, 8)
+    path = tmp_path / "w.json"
+    with pytest.raises(DomainError, match="does not fit a file"):
+        save_wach(w, path)
+    assert not path.exists()
+    save_wach(dataclasses.replace(w, chi_gamma=chi - 3), path)   # the largest that fits
+    assert load_wach(path).chi_gamma == chi - 3
 
 
 def test_axiom_report_cached_per_object(tmp_path):
@@ -966,7 +767,7 @@ def stored_module(draw):
     nx = draw(st.integers(2, 4))
     entries = [draw(kernel_series(params, nx)) for _ in range(8)]
     return WachData(
-        params=params, k=draw(st.integers(2, 9)), a_p=draw(kernel_elts(params)),
+        params=params, k=draw(st.integers(2, 9)), a_p=draw(capped_elts(params)),
         chi_gamma=draw(st.integers(2, 3 * params.p ** params.prec_pi)),
         P=MatrixSeries(*entries[:4]), G=MatrixSeries(*entries[4:]),
     )
@@ -997,12 +798,14 @@ def mutated_text(draw, text, junk=JUNK):
             continue
         parent, key = path[-1]
         action = draw(st.sampled_from(["replace", "replace", "delete", "append"]))
+        # junk is copied: a sampled list or dict is one shared object, which a
+        # later pass could append into, even into itself
         if action == "delete":
             del parent[key]
         elif action == "append" and isinstance(parent[key], list):
-            parent[key].append(draw(junk))
+            parent[key].append(copy.deepcopy(draw(junk)))
         else:
-            parent[key] = draw(junk)
+            parent[key] = copy.deepcopy(draw(junk))
     return json.dumps(obj, indent=draw(st.sampled_from([None, 1])))
 
 
@@ -1010,6 +813,15 @@ def mutated_text(draw, text, junk=JUNK):
 @given(stored_module())
 def test_save_matches_reference_text(tmp_path_factory, w):
     path = tmp_path_factory.getbasetemp() / "saved.json"
+    path.unlink(missing_ok=True)
+    held = PadicElt.from_int(w.params, w.chi_gamma).digits[0]   # chi(gamma) at cap prec_pi
+    if held != w.chi_gamma:
+        with pytest.raises(DomainError, match="does not fit a file"):
+            save_wach(w, path)
+        assert not path.exists()
+        if held < 2:
+            return
+        w = dataclasses.replace(w, chi_gamma=held)
     save_wach(w, path)
     assert path.read_text() == ref_save_text(w)
 
