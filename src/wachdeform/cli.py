@@ -49,7 +49,14 @@ from .errors import (
 )
 from .padics import PadicElt, PadicParams, ScaledElt
 from .trianguline import hypothesis_star, psi_eval, weight_step
-from .wach import check_axioms, default_nx, load_wach, save_wach, seed_companion
+from .wach import (
+    _require_chi_fits,
+    check_axioms,
+    default_nx,
+    load_wach,
+    save_wach,
+    seed_companion,
+)
 
 __all__ = ["build_parser", "main"]
 
@@ -100,6 +107,8 @@ def cmd_seed(args) -> int:
     chi = args.chi_gamma or default_chi(args.p)
     m, ak1, _ = check_request(args.p, chi, args.k, args.e, 1)
     params, nx = _resolve_precisions(args, args.k, m, ak1)
+    if args.out:
+        _require_chi_fits(params, chi)
     w = seed_companion(params, args.k, _elt_from_rational(params, args.ap), chi, nx)
     report = check_axioms(w)
     print(

@@ -8,7 +8,8 @@ argument leans on:
   1. ``alpha`` computes the precision tax of the Gamma-recursion,
      alpha(r) = sum_{j<=r} v(1 - chi(gamma)^j), checking it at every j <= r.
   2. ``build_h0`` finds a constant H0 with det(Id + H0) = 1 and
-     Tr(H0 P(0)) = a'_p - a_p.
+     Tr(H0 P(0)) = a'_p - a_p: the rank-one nilpotent s v w^T, w = (-v2, v1),
+     at a vector v where the form w^T P(0) v has the least valuation.
   3. ``extend_h`` grows H0 to a polynomial H of degree < k with
      H G = G gamma(H) mod x^k, reading each H_r off the series expansion of
      G gamma(H) - H G; the pass over the finished H re-checks the relation.
@@ -36,14 +37,12 @@ from .errors import (
     NotAGenerator,
     PreconditionFails,
     PrecisionExhausted,
-    SlopesNotDistinct,
     ValuationFloorUnreachable,
 )
 from .padics import (
     PadicElt,
     check_odd_prime,
     check_ramification,
-    hensel_root,
     val,
     val_or_cap,
     vp,
@@ -62,7 +61,6 @@ __all__ = [
     "default_chi",
     "deform_trace",
     "deformation_bound",
-    "diagonalize",
     "extend_h",
     "is_generator",
     "precision_default",
@@ -233,106 +231,47 @@ def precision_default(
 
 
 # --------------------------------------------------------------------------- #
-# eigenbasis machinery
+# the constant seed H0
 # --------------------------------------------------------------------------- #
-
-def diagonalize(p0: Mat2) -> tuple[Mat2, PadicElt, PadicElt, PadicElt]:
-    """Split P0 into eigenvalues of distinct slope: returns (Y, lambda, mu, delta).
-
-    Y has a unit entry in each column and det(Y) of valuation <= v(delta), so
-    Y^{-1} = adj(Y)/det(Y) has entries of valuation >= -v(delta).
-    """
-    t, d = p0.trace(), p0.det()
-    vt, vd = t.valpi(), d.valpi_or_cap()
-    if vt is None or 2 * vt >= vd:
-        raise SlopesNotDistinct(
-            f"char poly slopes not separated: 2 v(tr) = {2 * vt if vt is not None else 'inf'}"
-            f" vs v(det) = {vd} (pi-units)"
-        )
-    lam = hensel_root(-t, d, t)
-    mu = t - lam
-    delta = lam - mu
-
-    def eigencol(theta: PadicElt) -> tuple[PadicElt, PadicElt]:
-        candidates = [
-            (p0.b, theta - p0.a),
-            (theta - p0.d, p0.c),
-        ]
-        for e1, e2 in candidates:
-            if e1.is_zero_at_cap() and e2.is_zero_at_cap():
-                continue
-            pivot = e1 if e1.valpi_or_cap() <= e2.valpi_or_cap() else e2
-            return e1.divide_exact(pivot), e2.divide_exact(pivot)
-        raise PrecisionExhausted("eigenvector entries all vanish at cap")
-
-    y1a, y1c = eigencol(lam)
-    y2a, y2c = eigencol(mu)
-    y = Mat2(y1a, y2a, y1c, y2c)
-    dy = y.det()
-    if dy.valpi_or_cap() > delta.valpi_or_cap():
-        raise PrecisionExhausted(
-            f"eigenbasis determinant too small: v = {dy.valpi_or_cap()} pi-units"
-        )
-    # conjugation check: adj(Y) P0 Y / det(Y) must be diag(lambda, mu)
-    conj = y.adj() * p0 * y
-    lam_chk = conj.a.divide_exact(dy) - lam
-    mu_chk = conj.d.divide_exact(dy) - mu
-    off = [conj.b, conj.c]
-    if not (lam_chk.is_zero_at_cap() and mu_chk.is_zero_at_cap()):
-        raise PrecisionExhausted("conjugation drifted off the eigenvalues")
-    if not all(x.divide_exact(dy).is_zero_at_cap() for x in off):
-        raise PrecisionExhausted("conjugation left off-diagonal residue")
-    return y, lam, mu, delta
-
-
-def _is_companion(p0: Mat2) -> bool:
-    one = PadicElt.from_int(p0.a.params, 1)
-    return p0.a.is_zero_at_cap() and (p0.b + one).is_zero_at_cap()
-
 
 def build_h0(p0: Mat2, eps: PadicElt, floor: Fraction) -> Mat2:
     """Constant seed of the deformation: det(Id+H0) = 1, Tr(H0 P0) = eps.
 
-    Companion P0 admits the loss-free triangular solution ((0,0),(-eps,0));
-    otherwise the equation is solved in the eigenbasis, where it becomes a
-    quadratic in one diagonal entry, and conjugated back.
+    With P0 = (a b / c d), H0 is the rank-one nilpotent s v w^T, w = (-v2, v1):
+    Tr(H0 P0) = s q(v) for the binary form q(v) = c v1^2 + (d-a) v1 v2 - b v2^2,
+    so s = eps / q(v).  v is the first of (0,1), (1,0), (1,1) at which
+    v(q) = min(v(b), v(c), v(d-a)), the only precision spent; companion P0
+    takes v = (0,1) and H0 = ((0,0),(-eps,0)) with no loss.  A P0 that is
+    scalar at cap admits no such v and is refused.
     """
     params = eps.params
     if eps.is_zero_at_cap():
         return Mat2.zero(params)
+    a, b, c, d = p0.entries()
+    d_a = d - a
+    v_b, v_c, v_da = (math.inf if x.is_zero_at_cap() else x.valpi_or_cap() for x in (b, c, d_a))
+    v_q = min(v_b, v_c)
+    q = None
+    if v_da < v_q:   # v(c + d - a - b) = v(d - a), unless the caps of b and c hide it
+        q = c - b + d_a
+        if q.is_zero_at_cap():
+            q = None
+        else:
+            v_q = v_da
+    if v_q == math.inf:
+        raise DomainError("P(0) is scalar at cap: no rank-one H0 meets Tr(H0 P0) = eps")
+    floor_q = floor + Fraction(v_q, params.e)
     v_eps = val_or_cap(eps)
-
-    if _is_companion(p0):
-        if v_eps < floor:
-            raise ValuationFloorUnreachable(
-                f"v(eps) = {v_eps} below the floor {floor}"
-            )
-        h0 = Mat2(
-            PadicElt.zero(params), PadicElt.zero(params),
-            -eps, PadicElt.zero(params),
-        )
-    else:
-        y, lam, mu, delta = diagonalize(p0)
-        if v_eps < 2 * val_or_cap(delta) + floor:
-            raise ValuationFloorUnreachable(
-                f"v(eps) = {v_eps} below 2 v(delta) + floor = "
-                f"{2 * val_or_cap(delta) + floor}"
-            )
-        # diagonal ansatz diag(a, b), b = -a/(1+a): with u = lambda a the trace
-        # condition becomes u^2 + (delta - eps) u - eps lambda = 0
-        c1 = delta - eps
-        c0 = -(eps * lam)
-        seed = (-c0).divide_exact(c1)
-        u = hensel_root(c1, c0, seed)
-        a = u.divide_exact(lam)
-        one = PadicElt.from_int(params, 1)
-        b = (-a).div_unit(one + a)
-        m = y * Mat2(a, PadicElt.zero(params), PadicElt.zero(params), b) * y.adj()
-        dy = y.det()
-        try:
-            h0 = Mat2(*(x.divide_exact(dy) for x in m.entries()))
-        except InexactDivision as exc:  # theory says this cannot happen
-            raise PrecisionExhausted(f"eigenbasis descent lost integrality: {exc}")
+    if v_eps < floor_q:
+        raise ValuationFloorUnreachable(f"v(eps) = {v_eps} below the floor {floor_q}")
+    zero = PadicElt.zero(params)
+    if q is not None:   # v = (1,1)
+        s = eps.divide_exact(q)
+        h0 = Mat2(-s, s, -s, s)
+    elif v_b == v_q:    # v = (0,1), q = -b
+        h0 = Mat2(zero, zero, eps.divide_exact(b), zero)
+    else:               # v = (1,0), q = c
+        h0 = Mat2(zero, eps.divide_exact(c), zero, zero)
 
     one = PadicElt.from_int(params, 1)
     identity = Mat2.identity(params)

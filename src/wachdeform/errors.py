@@ -14,7 +14,6 @@ __all__ = [
     "RamifiedUnsupported",
     "OutOfConvergenceDomain",
     "HenselCriterionFails",
-    "SlopesNotDistinct",
     "InexactDivision",
     "SeedSingular",
     "PrecisionExhausted",
@@ -60,10 +59,6 @@ class OutOfConvergenceDomain(WachdeformError):
 
 class HenselCriterionFails(WachdeformError):
     """v(f(seed)) > 2 v(f'(seed)) does not hold; no quadratic convergence."""
-
-
-class SlopesNotDistinct(WachdeformError):
-    """Newton polygon of T^2 - a_p T + p^(k-1) has a repeated slope."""
 
 
 class InexactDivision(WachdeformError):

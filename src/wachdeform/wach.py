@@ -621,19 +621,23 @@ def _matrix_text(m: MatrixSeries) -> str:
     return _array_text([_array_text(series[:2], 2), _array_text(series[2:], 2)], 1)
 
 
+def _require_chi_fits(params: PadicParams, chi_gamma: int) -> None:
+    """Refuse a chi_gamma of p^ceil(prec_pi/e) or more: a file stores it at cap prec_pi."""
+    t = -(-params.prec_pi // params.e)
+    if chi_gamma >= params.p ** t:
+        raise DomainError(
+            f"chi_gamma {chi_gamma} does not fit a file at prec_pi {params.prec_pi}: "
+            f"it must be below p^{t}"
+        )
+
+
 def save_wach(w: WachData, path: str | Path) -> None:
     """Write module data as deterministic structured text (sorted keys).
 
-    chi_gamma is written as an integer at cap prec_pi, so one of
-    p^ceil(prec_pi/e) or more is refused before anything is written.
+    A chi_gamma that does not fit the file is refused before anything is written.
     """
     params = w.params
-    t = -(-params.prec_pi // params.e)
-    if w.chi_gamma >= params.p ** t:
-        raise DomainError(
-            f"chi_gamma {w.chi_gamma} does not fit a file at prec_pi {params.prec_pi}: "
-            f"it must be below p^{t}"
-        )
+    _require_chi_fits(params, w.chi_gamma)
     chi = [w.chi_gamma] + [0] * (params.e - 1)
     fields = [   # in sorted key order
         ("G", _matrix_text(w.G)), ("P", _matrix_text(w.P)),

@@ -176,7 +176,8 @@ def test_seed_refuses_chi_gamma_past_the_file_cap(tmp_path, capsys):
     argv = ["seed", "--p", "3", "--k", "2", "--ap", "3", "--chi-gamma", str(3**20 + 2),
             "--prec-pi", "20", "--out", str(path)]
     assert main(argv) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""   # refused before the seed solve, so nothing is reported as seeded
     assert err == (f"error: DomainError: chi_gamma {3**20 + 2} does not fit a file at "
                    "prec_pi 20: it must be below p^20\n")
     assert not path.exists()

@@ -20,7 +20,6 @@ from wachdeform.deform import (
     correct_gamma,
     default_chi,
     deform_trace,
-    diagonalize,
     extend_h,
     is_generator,
     precision_default,
@@ -34,12 +33,11 @@ from wachdeform.errors import (
     NotAGenerator,
     PreconditionFails,
     PrecisionExhausted,
-    SlopesNotDistinct,
     ValuationFloorUnreachable,
     WachdeformError,
 )
 from wachdeform import series
-from wachdeform.padics import MAX_PREC_PI, PadicElt, PadicParams, val, vp
+from wachdeform.padics import MAX_PREC_PI, PadicElt, PadicParams, val_or_cap, vp
 from wachdeform.series import Mat2, MatrixSeries, mat_gamma
 from wachdeform.wach import check_axioms, default_nx, seed_companion
 
@@ -201,38 +199,6 @@ def test_precision_default_below_prec_pi_maximum():
 
 
 # --------------------------------------------------------------------------- #
-# diagonalize
-# --------------------------------------------------------------------------- #
-
-def test_diagonalize_diagonal_matrix():
-    y, lam, mu, delta = diagonalize(mat(1, 0, 0, 3))
-    assert y.same_at_cap(Mat2.identity(P3))
-    assert lam.same_at_cap(elt(1))
-    assert mu.same_at_cap(elt(3))
-    assert delta.same_at_cap(elt(-2))
-
-
-def test_diagonalize_companion_weight4():
-    p0 = mat(0, -1, 27, 3)
-    y, lam, mu, delta = diagonalize(p0)
-    assert val(lam) == 1 and val(mu) == 2
-    assert (lam + mu - elt(3)).is_zero_at_cap()
-    assert (lam * mu - elt(27)).is_zero_at_cap()
-    assert val(delta) == 1
-    # column for lam really is an eigenvector
-    col = (y.a, y.c)
-    img = (p0.a * col[0] + p0.b * col[1], p0.c * col[0] + p0.d * col[1])
-    assert (img[0] - lam * col[0]).is_zero_at_cap()
-    assert (img[1] - lam * col[1]).is_zero_at_cap()
-
-
-@pytest.mark.parametrize("entries", [(1, 0, 0, 1), (0, -1, 9, 3), (1, 0, 0, 1 + 9)])
-def test_diagonalize_equal_slopes_refused(entries):
-    with pytest.raises(SlopesNotDistinct):
-        diagonalize(mat(*entries))
-
-
-# --------------------------------------------------------------------------- #
 # build_h0
 # --------------------------------------------------------------------------- #
 
@@ -251,18 +217,9 @@ def test_build_h0_companion_is_triangular():
     assert ((h0 * mat(0, -1, 3, 3)).trace() - eps).is_zero_at_cap()
 
 
-def test_build_h0_diagonal_pins_mod_27():
-    # P0 = diag(1, 3), eps = 9: the quadratic is a^2 - 11a - 9 = 0 and the
-    # integral solution pair is (a, b) = (9, 18) mod 27
-    h0 = build_h0(mat(1, 0, 0, 3), elt(9), Fraction(1))
-    assert h0.b.is_zero_at_cap() and h0.c.is_zero_at_cap()
-    assert (h0.a.lift_int() - 9) % 27 == 0
-    assert (h0.d.lift_int() - 18) % 27 == 0
-    assert ((h0 * mat(1, 0, 0, 3)).trace() - elt(9)).is_zero_at_cap()
-
-
 def test_build_h0_general_conjugated():
-    # upper-triangular conjugate of diag(1, 3): same eigenvalues, dense H0
+    # upper-triangular conjugate of diag(1, 3): b = 2 is a unit, so the
+    # rank-one H0 = ((0,0),(eps/2,0)) spends no precision
     p0 = mat(1, 2, 0, 3)
     eps = elt(9)
     h0 = build_h0(p0, eps, Fraction(1))
@@ -273,8 +230,63 @@ def test_build_h0_general_conjugated():
 
 
 def test_build_h0_floor_refused():
-    with pytest.raises(ValuationFloorUnreachable):
+    with pytest.raises(ValuationFloorUnreachable, match=r"^v\(eps\) = 1 below the floor 2$"):
         build_h0(mat(0, -1, 3, 3), elt(3), Fraction(2))
+
+
+def test_build_h0_diagonal_takes_the_sum_vector():
+    # P0 = diag(1, 4): b = c = 0, so v = (1,1) and q = d - a = 3; the floor
+    # the refusal names carries v(q) = 1
+    h0 = build_h0(mat(1, 0, 0, 4), elt(9), Fraction(1))
+    assert h0.same_at_cap(mat(-3, 3, -3, 3))
+    assert [x.cap for x in h0.entries()] == [23] * 4   # eps / 3 knows one digit less
+    with pytest.raises(ValuationFloorUnreachable, match=r"^v\(eps\) = 1 below the floor 2$"):
+        build_h0(mat(1, 0, 0, 4), elt(3), Fraction(1))
+
+
+@st.composite
+def h0_case(draw):
+    """(P0, eps): P0 integral and exact, general, companion or scalar; eps nonzero."""
+    p, e = draw(st.sampled_from([3, 5, 7])), draw(st.sampled_from([1, 2]))
+    params = PadicParams(p, e, draw(st.integers(20, 40)))
+
+    def elt(low: int = -p ** 6) -> PadicElt:
+        digits = [draw(st.integers(low, p ** 6))] + draw(
+            st.lists(st.integers(-p ** 6, p ** 6), min_size=e - 1, max_size=e - 1))
+        return pi_pow(params, draw(st.integers(0, 6))) * PadicElt(params, digits, params.prec_pi)
+
+    a, b, c, d = (elt() for _ in range(4))
+    shape = draw(st.sampled_from(["general", "companion", "scalar"]))
+    if shape == "companion":
+        a, b = PadicElt.zero(params), PadicElt.from_int(params, -1)
+    elif shape == "scalar":
+        b = c = PadicElt.zero(params)
+        d = a
+    return shape, Mat2(a, b, c, d), elt(low=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(h0_case())
+def test_build_h0_rank_one_properties(case):
+    shape, p0, eps = case
+    params = eps.params
+    if all(x.is_zero_at_cap() for x in (p0.b, p0.c, p0.d - p0.a)):   # shape "scalar" or drawn so
+        with pytest.raises(DomainError, match="scalar"):
+            build_h0(p0, eps, Fraction(0))
+        return
+    least = min(val_or_cap(p0.b), val_or_cap(p0.c), val_or_cap(p0.d - p0.a))
+    if val_or_cap(eps) < least:   # eps / q(v) is not integral
+        with pytest.raises(ValuationFloorUnreachable):
+            build_h0(p0, eps, Fraction(0))
+        return
+    h0 = build_h0(p0, eps, Fraction(0))
+    assert h0.trace().is_zero_at_cap() and h0.det().is_zero_at_cap()
+    assert ((Mat2.identity(params) + h0).det() - PadicElt.one(params)).is_zero_at_cap()
+    assert ((h0 * p0).trace() - eps).is_zero_at_cap()
+    assert Fraction(h0.min_val_or_cap(), params.e) >= val_or_cap(eps) - least
+    if shape == "companion":
+        zero = PadicElt.zero(params)
+        assert h0.entries() == (zero, zero, -eps, zero)
 
 
 # --------------------------------------------------------------------------- #
@@ -702,6 +714,25 @@ def test_deform_random_weight2_family():
         ap_new = a + 27 * rng.randrange(1, 10)
         wp, cert = deform_trace(w, elt(ap_new, w.params), 1)
         assert cert.ok, (a, ap_new)
+
+
+@pytest.mark.parametrize("a, ap_new", [(3, 30), (9, 495)])
+@pytest.mark.parametrize("b", [(1, 1, 0, 1), (2, 1, 1, 1), (1, 0, 3, 1)])
+def test_deform_conjugated_seed_certifies(b, a, ap_new):
+    # B P B^-1 and B G B^-1 for a constant B of det 1 is the seed in another
+    # basis, whose P(0) is no companion matrix; the rank-one H0 deforms it
+    from wachdeform.wach import WachData
+
+    w = seed_k2(a=a)
+    basis = _const_series(mat(*b), w.nx)
+    inverse = _const_series(mat(*b).adj(), w.nx)
+    moved = WachData(params=w.params, k=w.k, a_p=w.a_p, chi_gamma=w.chi_gamma,
+                     P=basis * w.P * inverse, G=basis * w.G * inverse)
+    assert check_axioms(moved).ok
+    assert not moved.P.eval0().a.is_zero_at_cap()   # (0 -1 / c d) is the companion shape
+    wp, cert = deform_trace(moved, elt(ap_new), 1)
+    assert cert.ok
+    assert (wp.P.eval0().trace() - elt(ap_new)).is_zero_at_cap()
 
 
 def test_deform_rejects_broken_module():

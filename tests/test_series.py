@@ -354,12 +354,16 @@ def ref_div_distinguished(f, dpoly, d):
 
 
 def ref_subst_table(params, nx, c):
-    """The table as products of PadicSeries powers of u: (planes, caps, valuations)."""
+    """The table from the powers of u taken with `ref_mul`: (planes, caps, valuations).
+
+    The kernel's own product `_conv` builds `_subst_table`, so the reference
+    must not reach it.
+    """
     base = [PadicElt.from_int(params, _int_binom(c, j)) for j in range(1, nx)]
     u = PadicSeries(params, [PadicElt.zero(params)] + base, nx)
     powers = [PadicSeries.one(params, nx)]
     for _ in range(1, nx):
-        powers.append(powers[-1] * u)
+        powers.append(PadicSeries(params, ref_mul(powers[-1], u), nx))
 
     def columns(rows):
         return tuple([col[: k + 1] for k, col in enumerate(zip(*rows))])
