@@ -1,4 +1,4 @@
-# A tour of the exact p-adic layer: elements, valuations, Hensel roots,
+# A tour of the exact p-adic layer: elements, valuations, exact division,
 # Teichmuller decomposition, exp/log.  Everything is big-int arithmetic
 # with an explicit precision cap; nothing here is floating point.
 from fractions import Fraction
@@ -7,7 +7,6 @@ from wachdeform import (
     PadicElt,
     PadicParams,
     ScaledElt,
-    hensel_root,
     pexp,
     plog,
     teichmuller_decompose,
@@ -29,14 +28,6 @@ print("45 / 7  =", x.div_unit(PadicElt.from_int(params, 7)).lift_int())
 half = ScaledElt.from_rational(params, Fraction(1, 2)).to_padic()
 print("1/2 in Z_3:", half.lift_int(), "(check: doubled =",
       (half + half).lift_int(), ")")
-
-# Hensel: the root of T^2 - 7 near 1 (7 is a square in Z_3)
-root = hensel_root(
-    PadicElt.zero(params), PadicElt.from_int(params, -7),
-    PadicElt.from_int(params, 1),
-)
-print("sqrt(7) =", root.lift_int(), "; square check:",
-      (root * root).lift_int())
 
 # Teichmuller: 45 = 3^2 * omega * <unit part>; here omega = -1 and the
 # unit part is -5 (the lifts below are their residues at the cap)

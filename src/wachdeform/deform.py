@@ -53,7 +53,6 @@ from .wach import WachData, _solve_orders, check_axioms
 __all__ = [
     "DeformCertificate",
     "alpha",
-    "alpha_floor",
     "build_h0",
     "check_request",
     "converse_bound",
@@ -105,23 +104,12 @@ def default_chi(p: int) -> int:
 
 
 def _alpha_floor_formula(p: int, r: int) -> int:
+    """alpha(r) = sum_i floor(r / ((p-1) p^i)) in O(log r), with no refusal."""
     total, modulus = 0, p - 1
     while modulus <= r:
         total += r // modulus
         modulus *= p
     return total
-
-
-def alpha_floor(p: int, r: int, chi_gamma: int) -> int:
-    """alpha(r) by the floor formula, after the refusals of `alpha`, with no per-j check.
-
-    The value a bound, a precision budget or a floor needs, in O(log r).
-    """
-    check_odd_prime(p)
-    if r < 1:
-        raise DomainError(f"alpha needs r >= 1, got {r}")
-    _require_generator(p, chi_gamma)
-    return _alpha_floor_formula(p, r)
 
 
 def alpha(p: int, r: int, chi_gamma: int) -> int:
@@ -130,7 +118,11 @@ def alpha(p: int, r: int, chi_gamma: int) -> int:
     Linear time in r and constant memory: the product form carries chi^j mod
     p^L, and the floor form sum_i floor(j / ((p-1) p^i)) is kept as a running sum.
     """
-    alpha_r = alpha_floor(p, r, chi_gamma)
+    check_odd_prime(p)
+    if r < 1:
+        raise DomainError(f"alpha needs r >= 1, got {r}")
+    _require_generator(p, chi_gamma)
+    alpha_r = _alpha_floor_formula(p, r)
     # for a generator, v(chi^j - 1) <= 1 + v_p(j) < L = 2 + floor(log_p r), so
     # chi^j mod p^L keeps every step
     modulus = p * p

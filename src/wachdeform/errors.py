@@ -13,7 +13,6 @@ __all__ = [
     "ZeroInput",
     "RamifiedUnsupported",
     "OutOfConvergenceDomain",
-    "HenselCriterionFails",
     "InexactDivision",
     "SeedSingular",
     "PrecisionExhausted",
@@ -55,10 +54,6 @@ class RamifiedUnsupported(WachdeformError):
 
 class OutOfConvergenceDomain(WachdeformError):
     """Series argument outside its disc of convergence."""
-
-
-class HenselCriterionFails(WachdeformError):
-    """v(f(seed)) > 2 v(f'(seed)) does not hold; no quadratic convergence."""
 
 
 class InexactDivision(WachdeformError):

@@ -31,7 +31,6 @@ from typing import Iterable
 from .errors import (
     DivisionByNonUnit,
     DomainError,
-    HenselCriterionFails,
     InexactDivision,
     OutOfConvergenceDomain,
     ParamMismatch,
@@ -50,7 +49,6 @@ __all__ = [
     "teichmuller_decompose",
     "plog",
     "pexp",
-    "hensel_root",
     "binom_coeffs",
 ]
 
@@ -130,7 +128,9 @@ class PadicParams:
 
     prec_pi is the hard ceiling: no element ever claims more than prec_pi
     pi-adic digits.  It is at most MAX_PREC_PI, which bounds the digit tables
-    and lies above the default budget at m = 1 up to weight 45 (e = 1).
+    and lies above the default budget at m = 1 up to weight 45 (e = 1).  The
+    tables hold e (prec_pi + 1) moduli, so e is bounded by prec_pi too: at a
+    cap below e, p = pi^e is zero and no valuation of p is visible.
     """
 
     p: int
@@ -144,6 +144,8 @@ class PadicParams:
             raise PrecisionExhausted("prec_pi must be >= 1")
         if self.prec_pi > MAX_PREC_PI:
             raise PrecisionExhausted(f"prec_pi {self.prec_pi} exceeds the maximum {MAX_PREC_PI}")
+        if self.e > self.prec_pi:
+            raise PrecisionExhausted(f"ramification index {self.e} exceeds prec_pi {self.prec_pi}")
 
     def digit_modulus(self, cap: int, j: int) -> int:
         """Modulus for digit j of an element known mod pi^cap."""
@@ -698,43 +700,6 @@ def pexp(y: PadicElt) -> PadicElt:
             n += 1
 
     return _unit_power_sum(params, y.digits, cap, t, [1] + [0] * (e - 1), terms())
-
-
-# --------------------------------------------------------------------------- #
-# Hensel / Newton
-# --------------------------------------------------------------------------- #
-
-def hensel_root(c1: PadicElt, c0: PadicElt, seed: PadicElt) -> PadicElt:
-    """Root of the monic quadratic T^2 + c1 T + c0 near seed.
-
-    Requires v(f(seed)) > 2 v(f'(seed)); raises HenselCriterionFails
-    otherwise.  Convergence is quadratic; the final root loses v(f'(root))
-    digits of cap relative to the inputs, no more.
-    """
-    params = seed.params
-    _check_same(c1, seed)
-    _check_same(c0, seed)
-
-    def f(T: PadicElt) -> PadicElt:
-        return T * T + c1 * T + c0
-
-    def fprime(T: PadicElt) -> PadicElt:
-        return T + T + c1
-
-    fs, fps = f(seed), fprime(seed)
-    vps = fps.valpi()
-    if vps is None or fs.valpi_or_cap() <= 2 * vps:
-        raise HenselCriterionFails(
-            f"v(f(seed)) = {fs.valpi_or_cap()}/{params.e} not > "
-            f"2 v(f'(seed)) = {2 * (vps if vps is not None else fps.cap)}/{params.e}"
-        )
-    T = seed
-    for _ in range(64):
-        fT = f(T)
-        if fT.is_zero_at_cap():
-            return T
-        T = T - fT.divide_exact(fprime(T))
-    raise PrecisionExhausted("Newton iteration failed to stabilize")
 
 
 # --------------------------------------------------------------------------- #

@@ -392,6 +392,8 @@ def _contract(
             r0d += _pi_div_digits(params, _canon(params, raw[i:i + e], cap), cap, t)
         except InexactDivision as exc:
             raise not_divisible(j, exc) from exc
+        except PrecisionExhausted as exc:
+            raise PrecisionExhausted(f"order {j}: {exc}") from exc
     pt, et = params.p ** (j - k + 1), params.e * (j - k + 1)
     sweeps = prec + 2
     sd, sc, sv = r0d, r0c, vals(r0d, r0c)

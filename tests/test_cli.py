@@ -188,6 +188,15 @@ def test_seed_singular_point_exit_code():
     assert main(["seed", "--p", "3", "--k", "4", "--ap", "3"]) == 4
 
 
+def test_seed_precision_failure_names_its_order(capsys):
+    # cap 12 clears the certified floor 11, yet the contraction at order
+    # 2 * 12 - 1 has no digit left to divide by pi: the floor is necessary,
+    # not sufficient, and the refusal says where it ran out
+    assert main(["seed", "--p", "3", "--k", "2", "--ap", "9", "--prec-pi", "12"]) == 3
+    assert capsys.readouterr().err == (
+        "precision: order 23: cap 1 cannot absorb pi^1 division\n")
+
+
 # --------------------------------------------------------------------------- #
 # deform: pass, refuse, singular, precision
 # --------------------------------------------------------------------------- #
@@ -320,6 +329,28 @@ def test_huge_prec_pi_header_refused_fast(tmp_path, capsys):
     assert main(["verify", "--in", str(path)]) == 5
     assert time.perf_counter() - t0 < 1.0
     assert f"exceeds the maximum {MAX_PREC_PI}" in capsys.readouterr().err
+
+
+def test_ramification_past_prec_pi_header_refused_fast(tmp_path, capsys):
+    # the digit tables hold e (prec_pi + 1) moduli and prec_pi alone was capped,
+    # so a raised e header once made verify build e * 4097 moduli
+    path = tmp_path / "mod.json"
+    assert main(["seed", "--p", "3", "--k", "2", "--ap", "3", "--out", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    obj["e"], obj["prec_pi"] = "20000", str(MAX_PREC_PI)
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert main(["verify", "--in", str(path)]) == 5
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == (
+        f"input: bad ring parameters: ramification index 20000 exceeds prec_pi {MAX_PREC_PI}\n")
+
+
+def test_psi_ramification_past_prec_pi_refused(capsys):
+    assert main(["psi", "--p", "3", "--e", "30", "--prec-pi", "24",
+                 "--alpha", "4", "--s", "1/2"]) == 3
+    assert capsys.readouterr().err == "precision: ramification index 30 exceeds prec_pi 24\n"
 
 
 def _no_alpha_table(*args):

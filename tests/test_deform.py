@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wachdeform.deform import (
+    _alpha_floor_formula,
     alpha,
-    alpha_floor,
     build_h0,
     converse_bound,
     correct_gamma,
@@ -132,27 +132,31 @@ def test_alpha_to_large_r_equals_floor_formula():
         assert value == sum(n // m for m in moduli), n
     for j in sampled:
         assert values[j] - values[j - 1] == vp(2**j - 1, p), j
-    assert alpha_floor(p, r, 2) == values[r]
+    assert _alpha_floor_formula(p, r) == values[r]
 
 
 def test_alpha_memory_is_constant_in_r():
     # running totals only: no list of r values or steps is kept
     tracemalloc.start()
     try:
-        assert alpha(3, 10**5, 2) == alpha_floor(3, 10**5, 2)
+        assert alpha(3, 10**5, 2) == _alpha_floor_formula(3, 10**5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024, peak
 
 
-@pytest.mark.parametrize("args", [(4, 5, 2), (3, 0, 2), (3, 5, 4), (5, 5, 7)])
-def test_alpha_floor_refuses_as_alpha_does(args):
-    with pytest.raises(WachdeformError) as checked:
+@pytest.mark.parametrize("args, cls, message", [
+    ((4, 5, 2), DomainError, "p must be an odd prime, got 4"),
+    ((3, 0, 2), DomainError, "alpha needs r >= 1, got 0"),
+    ((3, 5, 4), NotAGenerator, "chi(gamma) = 4 does not topologically generate Z_3^x"),
+    ((5, 5, 7), NotAGenerator, "chi(gamma) = 7 does not topologically generate Z_5^x"),
+], ids=["not-an-odd-prime", "r-below-1", "square-mod-3", "trivial-mod-25"])
+def test_alpha_refusals(args, cls, message):
+    # odd prime, then r >= 1, then generator: each refused before any per-j work
+    with pytest.raises(WachdeformError) as refused:
         alpha(*args)
-    with pytest.raises(WachdeformError) as floor:
-        alpha_floor(*args)
-    assert (type(floor.value), str(floor.value)) == (type(checked.value), str(checked.value))
+    assert (type(refused.value), str(refused.value)) == (cls, message)
 
 
 def test_default_chi_smallest_generator():

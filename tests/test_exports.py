@@ -73,3 +73,26 @@ def test_every_private_helper_is_used_in_src():
         and not any(name in _read_names(other) for _, other in stmts if other is not stmt)
     ]
     assert unused == []
+
+
+def test_every_export_has_a_reader():
+    # a name in a module's __all__ must be read by src/ outside its own
+    # definition, or by the acceptance tests: public API that nothing calls,
+    # sets or reads cannot stay
+    src = Path(wachdeform.__file__).parent
+    stmts = [
+        (path.stem, stmt)
+        for path in sorted(src.glob("*.py"))
+        for stmt in ast.parse(path.read_text()).body
+    ]
+    acceptance = Path(__file__).with_name("test_acceptance.py")
+    read_by_acceptance = _read_names(ast.parse(acceptance.read_text()))
+    unread = [
+        f"{module}.{name}"
+        for module in sorted({m for m, _ in stmts} - {"__init__"})
+        for name in getattr(importlib.import_module(f"wachdeform.{module}"), "__all__", ())
+        if name not in read_by_acceptance
+        and not any(name in _read_names(stmt) for m, stmt in stmts
+                    if not (m == module and name in _defined_names(stmt)))
+    ]
+    assert unread == []

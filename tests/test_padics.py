@@ -1,4 +1,4 @@
-"""Core ring arithmetic: canonical digits, caps, valuations, exp/log, Hensel."""
+"""Core ring arithmetic: canonical digits, caps, valuations, exp/log."""
 from __future__ import annotations
 
 import math
@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from wachdeform.errors import (
     DivisionByNonUnit,
     DomainError,
-    HenselCriterionFails,
     InexactDivision,
     OutOfConvergenceDomain,
     ParamMismatch,
@@ -31,7 +30,6 @@ from wachdeform.padics import (
     _valpi_or_cap,
     _valpi_or_caps,
     binom_coeffs,
-    hensel_root,
     pexp,
     plog,
     teichmuller_decompose,
@@ -61,6 +59,10 @@ def test_params_reject_bad_inputs():
         PadicParams(2, 1, 10)           # even prime excluded
     with pytest.raises(DomainError):
         PadicParams(3, 0, 10)
+    # p = pi^e is zero below cap e, and the digit tables grow with e * prec_pi
+    assert PadicParams(3, 4, 4).e == 4
+    with pytest.raises(PrecisionExhausted, match="ramification index 5 exceeds prec_pi 4"):
+        PadicParams(3, 5, 4)
 
 
 def test_canonical_digit_reduction():
@@ -335,34 +337,6 @@ def test_log_exp_domains():
 def test_log_of_one_is_zero():
     assert plog(PadicElt.one(P3)).is_zero_at_cap()
     assert pexp(fi(P3, 0)).same_at_cap(PadicElt.one(P3))
-
-
-# --------------------------------------------------------------------------
-# Hensel / Newton polygon
-# --------------------------------------------------------------------------
-
-def test_hensel_spec_quadratic():
-    # T^2 - 11 T - 9 has a root congruent to 9 mod 27
-    c1, c0 = fi(P3, -11), fi(P3, -9)
-    root = hensel_root(c1, c0, fi(P3, 0))
-    assert root.reduce_cap(3).same_at_cap(fi(P3, 9, 3))
-    assert (root * root + c1 * root + c0).is_zero_at_cap()
-
-
-def test_hensel_criterion_failure():
-    # f = T^2 - 3: f(0) = -3, f'(0) = 0 -- no separation
-    with pytest.raises(HenselCriterionFails):
-        hensel_root(fi(P3, 0), fi(P3, -3), fi(P3, 0))
-
-
-def test_hensel_random_factorizations():
-    rng = random.Random(23)
-    for _ in range(40):
-        r1 = fi(P3, rng.randrange(1, 3**6) * 3)          # small root
-        r2 = fi(P3, rng.randrange(1, 3**6) * 3 + rng.randrange(1, 3))  # unit root
-        c1, c0 = -(r1 + r2), r1 * r2
-        root = hensel_root(c1, c0, fi(P3, 0))
-        assert root.same_at_cap(r1.reduce_cap(root.cap))
 
 
 def test_scaled_from_rational():

@@ -248,6 +248,8 @@ def ref_contract(p0, adj0, c, k, j, not_divisible, diverged):
         r0 = Mat2(*(x.pi_div_exact(params.e * (k - 1)) for x in (c * adj0).entries()))
     except InexactDivision as exc:
         raise not_divisible(j, exc) from exc
+    except PrecisionExhausted as exc:
+        raise PrecisionExhausted(f"order {j}: {exc}") from exc
     scale = PadicElt.from_int(params, params.p ** (j - k + 1))
     sweeps = params.prec_pi + 2
     s = r0
