@@ -76,15 +76,17 @@ def is_generator(p: int, chi_gamma: int) -> bool:
     check_odd_prime(p)
     if chi_gamma < 2 or chi_gamma % p == 0:
         return False
-    order = 1
-    acc = chi_gamma % p
-    while acc != 1:
-        acc = acc * chi_gamma % p
-        order += 1
-        if order > p:
-            return False
-    if order != p - 1:
-        return False
+    # order p - 1 mod p: chi^((p-1)/q) != 1 for each prime q | p - 1
+    n, q = p - 1, 2
+    while n > 1:
+        if q * q > n:
+            q = n   # what is left is prime
+        if n % q == 0:
+            if pow(chi_gamma, (p - 1) // q, p) == 1:
+                return False
+            while n % q == 0:
+                n //= q
+        q += 1
     return pow(chi_gamma, p - 1, p * p) != 1
 
 

@@ -609,14 +609,9 @@ def teichmuller_decompose(x: PadicElt) -> tuple[int, PadicElt, PadicElt]:
         raise ZeroInput("cannot decompose zero at cap")
     p, cap = params.p, x.cap - v
     mod = _ppow(p, cap)
-    u = w = x.digits[0] // _ppow(p, v)
-    for _ in range(cap + 2):
-        w_next = pow(w, p, mod)
-        if w_next == w:
-            break
-        w = w_next
-    else:
-        raise PrecisionExhausted("Teichmueller iteration did not stabilize")
+    u = x.digits[0] // _ppow(p, v)
+    # u^(p^j) is fixed mod p^(j+1): omega = u^(p^(cap-1)) mod p^cap
+    w = pow(u, p ** (cap - 1), mod)
     angle = u * pow(w, -1, mod) % mod
     if (angle - 1) % p:
         raise DomainError("angle component not in 1 + pZ_p")

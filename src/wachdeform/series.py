@@ -83,18 +83,22 @@ def _ring_product(params: PadicParams, xs, ys, op) -> list[list[int]]:
     """Raw digit planes of a product over O_E = Z[pi]/(pi^e - p).
 
     ``op`` is bilinear and maps a digit plane of each factor to an integer
-    plane; pi^e = p folds the high digits back.
+    plane; pi^e = p folds the high digits back.  Zero planes add nothing and are
+    skipped; a plane no pair reaches is left empty (`_reduce` pads it with zeros).
     """
     e, p = params.e, params.p
-    out: list = [None] * e
+    out: list = [[]] * e
+    ys = [(t, y) for t, y in enumerate(ys) if any(y)]
     for s, x in enumerate(xs):
-        for t, y in enumerate(ys):
+        if not any(x):
+            continue
+        for t, y in ys:
             z = op(x, y)
             r = s + t
             if r >= e:
                 r -= e
                 z = [p * v for v in z]
-            out[r] = z if out[r] is None else list(map(add, out[r], z))
+            out[r] = list(map(add, out[r], z)) if out[r] else z
     return out
 
 
@@ -263,7 +267,7 @@ class PadicSeries:
         )
         ca, cb = self.caps[:sa], other.caps[:sb]
         va, vb = self._valuations()[:sa], other._valuations()[:sb]
-        caps = [prec] * len(raw[0])
+        caps = [prec] * min(n, sa + sb - 1)
         # each bound below is met by no pair when its minimum reaches prec_pi
         if min(ca) + min(vb) < prec:
             caps = list(map(min, caps, _conv(ca, vb, n, min, add)))
@@ -518,10 +522,9 @@ def _substitute(f: PadicSeries, c: int) -> PadicSeries:
         return PadicSeries.zero(params, n)
     plane, vals = _subst_table(params, n, c)
 
-    raw = _ring_product(
-        params, [pl[:s] for pl in f.planes], [plane],
-        lambda x, cols: [sum(map(mul, x, col)) for col in cols],
-    )
+    # the table is one exact plane: digit plane i of f maps to plane i, unfolded
+    raw = [[sum(map(mul, x, col)) for col in plane] if any(x) else []
+           for x in (pl[:s] for pl in f.planes)]
     cf = f.caps[:s]
     out = [prec] * n
     if min(cf) < prec:   # for an exact f every cap(f_i) + v reaches prec_pi
@@ -597,7 +600,7 @@ def div_distinguished(
         )
         cap = min(f.caps[m], err, *map(add, lc[ls][::-1], gv[lo:hi]),
                   *map(add, lv[ls][::-1], gc[lo:hi]))
-        return _canon(params, [plane[m] - z[0] for plane, z in zip(f.planes, raw)], cap), cap
+        return _canon(params, [plane[m] - sum(z) for plane, z in zip(f.planes, raw)], cap), cap
 
     for j in range(ng - 1, -1, -1):
         # truncation error: unknown g-coefficients above x^(ng-1) re-enter

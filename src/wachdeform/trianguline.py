@@ -47,6 +47,7 @@ from .padics import (
     plog,
     teichmuller_decompose,
     val,
+    val_or_cap,
 )
 from .wach import WachData
 
@@ -182,10 +183,7 @@ def coeff_bound_check(alpha: PadicElt, n_max: int) -> CoeffBoundReport:
     drawn from a fixed seed so the report is reproducible."""
     params = alpha.params
     psi = PsiMap.build(alpha, n_max)
-    vals = []
-    for n, c in enumerate(psi.coeffs):
-        v = c.valpi()
-        vals.append(Fraction(v if v is not None else c.cap, params.e))
+    vals = [val_or_cap(c) for c in psi.coeffs]
     nonneg = all(v >= 0 for v in vals)
     strict = all(v >= 1 for v in vals[1:])
 
@@ -195,10 +193,8 @@ def coeff_bound_check(alpha: PadicElt, n_max: int) -> CoeffBoundReport:
         s = PadicElt.from_int(params, rng.randrange(params.p ** (params.prec_pi // params.e)))
         terms = psi.terms_at(s)
         g_val = val(sum(terms, PadicElt.zero(params))) or Fraction(0)
-        for term in terms:
-            tv = term.valpi()
-            if tv is not None and Fraction(tv, params.e) < g_val:
-                gouvea_ok = False
+        if any(tv is not None and tv < g_val for tv in map(val, terms)):
+            gouvea_ok = False
     return CoeffBoundReport(
         alpha_digits=alpha.digits,
         n_max=n_max,
@@ -361,11 +357,9 @@ def lipschitz_check(
     equality = False
     for x, y in samples:
         for pt in (x, y):
-            vpt = pt.valpi()
-            if vpt is not None and vpt < params.e * r:
-                raise DomainError(
-                    f"sample point has |.| > p^-{r}: v = {Fraction(vpt, params.e)}"
-                )
+            vpt = val(pt)
+            if vpt is not None and vpt < r:
+                raise DomainError(f"sample point has |.| > p^-{r}: v = {vpt}")
         total += 1
         diff_in = x - y
         v_in = diff_in.valpi()

@@ -550,6 +550,9 @@ def _no_seeding(*args):
     (["scan", "--p", "3", "--k-range", "2:2", "--ap-list", "3", "--m", "1/2"], 1, "1/2"),
     (["scan", "--p", "3", "--e", "2", "--k-range", "2:3", "--ap-list", "3", "--m=-1/2"],
      2, "-1/2"),
+    # the generator test once walked every power of chi mod p: 32 s before this refusal
+    (["deform", "--p", "100000007", "--k", "2", "--ap", "1", "--ap-new", "2", "--m", "1/2"],
+     1, "1/2"),
 ])
 def test_bad_level_refused_before_any_work(argv, e, m, monkeypatch, tmp_path, capsys):
     # the level was once checked only inside deform_trace: -100 made a budget

@@ -166,6 +166,26 @@ def test_default_chi_smallest_generator():
     assert is_generator(7, 3) and not is_generator(7, 2)
 
 
+def test_is_generator_matches_power_walk():
+    # the reference walks the powers of chi mod p for its order, as
+    # is_generator once did; the order depends on chi mod p only
+    for p in [p for p in range(3, 200) if all(p % q for q in range(2, p))]:
+        order = [0] * p
+        for r in range(1, p):
+            acc, order[r] = r, 1
+            while acc != 1:
+                acc, order[r] = acc * r % p, order[r] + 1
+        want = [chi >= 2 and chi % p != 0 and order[chi % p] == p - 1
+                and pow(chi, p - 1, p * p) != 1 for chi in range(p * p + 3)]
+        assert [is_generator(p, chi) for chi in range(p * p + 3)] == want, p
+
+
+def test_default_chi_large_prime():
+    # p - 1 = 2 * 491 * 101833: three exponentiations mod p per candidate, not
+    # a walk of up to p - 1 powers
+    assert default_chi(100000007) == 5
+
+
 @pytest.mark.parametrize("p", [0, 1, 2, 4, 9])
 def test_is_generator_refuses_non_prime(p):
     # p = 0 once raised ZeroDivisionError from chi mod p

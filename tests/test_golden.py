@@ -21,6 +21,10 @@ SEEDS = {
     ("3", "2", "3", "0"): "69de384053086cb288a36aa5dc402b2e0407a6ec4340c1a5d2bce50a4a529473",
     ("3", "1", "2", "3"): "3e8f00167a2a21b1182fb2a45af383fa0e239b9ca93fdbcb5d29015cf60137fc",
     ("5", "1", "2", "5"): "f227ea1aafdf55ce6b705a4b9c28f0ebf765a1967f5a2947baa2725ab353db8e",
+    # e >= 3: the seed's digit planes past the first are mostly zero
+    ("3", "3", "2", "3"): "169819d31fd3b1cd13aba5244870c8e034c9124c9759d842993cb3eb2dc1a178",
+    ("5", "3", "2", "5"): "0f07bce40a21fd18bd97621bf541b63685eb15e50ecbaa77187e186752d69a63",
+    ("3", "4", "3", "0"): "b8d8f3bfcb9f3bf11f634f124b02c012838f592a19007fe71e985b8c6e51e1e2",
 }
 
 # (p, e, k, a_p, a'_p, m) -> digest of the `deform --out` certificate file
@@ -31,6 +35,7 @@ DEFORMS = {
     ("5", "1", "2", "5", "130", "1"): "0f5f50a68db0ef4967e3c7828dee8cfba0a76355557578a239cd2c1ff26e2ede",
     ("7", "1", "2", "7", "350", "1"): "c9a3802e76dfc3bae4ac023884edc9db54c0f6d41ef403b36a68219cbfd85614",
     ("3", "1", "2", "3", "30", "1"): "7cfdbeb8249b7ed77504be51d1fc45c63d56e66b1348dbd3ca87f48ab82ff692",
+    ("3", "3", "2", "3", "84", "1/3"): "6819a380f0985edecbed52e9409754cf02d9e3f15490b089331896d88f8dd652",
 }
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wachdeform import series
 from wachdeform.errors import (
     DomainError,
     InexactDivision,
@@ -562,6 +563,35 @@ def test_axiom_report_cached_per_object(tmp_path):
     fresh = check_axioms(load_wach(path))
     assert fresh is not report
     assert fresh == report
+
+
+def _lift(w, e):
+    """w over e digit planes: the planes past the first zero, every cap times e."""
+    params = PadicParams(w.params.p, e, w.params.prec_pi * e)
+
+    def elt(c):
+        return PadicElt(params, [c.digits[0]] + [0] * (e - 1), c.cap * e)
+
+    def mat(m):
+        return MatrixSeries(*(PadicSeries(params, map(elt, s.coeffs), s.nx) for s in m.entries()))
+
+    return WachData(params, w.k, elt(w.a_p), w.chi_gamma, mat(w.P), mat(w.G))
+
+
+def test_axiom_check_skips_zero_digit_planes(monkeypatch):
+    # a series product once convolved all e^2 pairs of digit planes, zero or
+    # not: 24 calls at e = 1, then 66, 906 and 14346 at e = 2, 8, 32
+    w = seed_k2(nx=8)
+    real, counts = series._conv, []
+    for e in (1, 2, 8, 32):
+        check_axioms(_lift(w, e))   # builds the substitution tables outside the count
+        calls = []
+        monkeypatch.setattr(series, "_conv", lambda *a: calls.append(a) or real(*a))
+        report = check_axioms(_lift(w, e))
+        monkeypatch.undo()
+        assert report.ok
+        counts.append(len(calls))
+    assert counts == counts[:1] * 4, counts
 
 
 def test_load_truncated_file(tmp_path):
