@@ -6,7 +6,6 @@ from fractions import Fraction
 from wachdeform import (
     PadicElt,
     PadicParams,
-    ScaledElt,
     pexp,
     plog,
     teichmuller_decompose,
@@ -25,7 +24,7 @@ print("45 / 9  =", x.pi_div_exact(2).lift_int())
 print("45 / 7  =", x.div_unit(PadicElt.from_int(params, 7)).lift_int())
 
 # rationals with denominator prime to p embed exactly
-half = ScaledElt.from_rational(params, Fraction(1, 2)).to_padic()
+half = PadicElt.from_rational(params, Fraction(1, 2))
 print("1/2 in Z_3:", half.lift_int(), "(check: doubled =",
       (half + half).lift_int(), ")")
 

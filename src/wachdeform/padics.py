@@ -24,8 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from operator import add
+from functools import cached_property
+from itertools import accumulate, repeat
+from operator import add, mul
 from typing import Iterable
 
 from .errors import (
@@ -95,11 +96,6 @@ def check_ramification(e: int) -> None:
         raise DomainError(f"ramification index must be >= 1, got {e}")
 
 
-@lru_cache(maxsize=None)
-def _ppow(p: int, t: int) -> int:
-    return p ** t
-
-
 def vp(q: int | Fraction, p: int) -> int:
     """p-adic valuation of a nonzero integer or rational, for p >= 2."""
     if p < 2:
@@ -119,18 +115,22 @@ def vp(q: int | Fraction, p: int) -> int:
 # parameters
 # --------------------------------------------------------------------------- #
 
+# the largest prec_pi: it bounds the digit tables (e (prec_pi + 1) entries, e <=
+# prec_pi) and lies above the default budget at m = 1 up to weight 45 (e = 1)
 MAX_PREC_PI = 4096
 
 
 @dataclass(frozen=True)
 class PadicParams:
-    """Base ring O_E = Z_p[pi]/(pi^e - p) and the working pi-adic cap.
+    """Base ring O_E = Z_p[pi]/(pi^e - p), the working pi-adic cap, and its moduli.
 
     prec_pi is the hard ceiling: no element ever claims more than prec_pi
-    pi-adic digits.  It is at most MAX_PREC_PI, which bounds the digit tables
-    and lies above the default budget at m = 1 up to weight 45 (e = 1).  The
-    tables hold e (prec_pi + 1) moduli, so e is bounded by prec_pi too: at a
-    cap below e, p = pi^e is zero and no valuation of p is visible.
+    pi-adic digits, and it is at most MAX_PREC_PI.  Every modulus is read from
+    one row of p^ceil(t/e), -e < t <= prec_pi: digit j of an element known mod
+    pi^c is known mod p^ceil((c - j)/e), the row at c - j.  The e digit tables
+    are slices of that row, e (prec_pi + 1) entries in all (16.8 million at
+    e = prec_pi = 4096), so e is bounded by prec_pi too: at a cap below e,
+    p = pi^e is zero and no valuation of p is visible.
     """
 
     p: int
@@ -147,22 +147,21 @@ class PadicParams:
         if self.e > self.prec_pi:
             raise PrecisionExhausted(f"ramification index {self.e} exceeds prec_pi {self.prec_pi}")
 
-    def digit_modulus(self, cap: int, j: int) -> int:
-        """Modulus for digit j of an element known mod pi^cap."""
-        t = cap - j
-        if t <= 0:
-            return 1
-        return _ppow(self.p, -(-t // self.e))
-
     @cached_property
     def digit_tables(self) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
-        """(moduli, log): moduli[j][c] = digit_modulus(c, j) for c <= prec_pi, log[p^t] = t."""
-        moduli = tuple(
-            tuple(self.digit_modulus(c, j) for c in range(self.prec_pi + 1))
-            for j in range(self.e)
-        )
-        log = {self.p ** t: t for t in range(-(-self.prec_pi // self.e) + 1)}
-        return moduli, log
+        """(moduli, log): moduli[j][c] = p^ceil((c - j)/e) for c <= prec_pi, log[p^t] = t.
+
+        moduli[j] is the row of p^ceil(t/e) shifted by j, so 1 wherever c <= j.
+        """
+        e, prec = self.e, self.prec_pi
+        powers = list(accumulate(repeat(self.p, -(-prec // e)), mul, initial=1))
+        row = tuple([powers[-(-t // e)] for t in range(1 - e, prec + 1)])
+        moduli = tuple([row[e - 1 - j:e + prec - j] for j in range(e)])
+        return moduli, {q: t for t, q in enumerate(powers)}
+
+    def modulus(self, cap: int) -> int:
+        """p^ceil(cap/e), 0 <= cap <= prec_pi: digit 0's modulus, a multiple of the others'."""
+        return self.digit_tables[0][0][cap]
 
 
 def _check_same(a: "PadicElt", b: "PadicElt") -> None:
@@ -187,9 +186,7 @@ class PadicElt:
         if cap < 1:
             raise PrecisionExhausted("element cap fell below one digit")
         object.__setattr__(self, "params", params)
-        object.__setattr__(
-            self, "digits", tuple([d % m[cap] for d, m in zip(ds, params.digit_tables[0])])
-        )
+        object.__setattr__(self, "digits", tuple(_canon(params, ds, cap)))
         object.__setattr__(self, "cap", cap)
 
     def __setattr__(self, *_):  # immutable
@@ -201,6 +198,14 @@ class PadicElt:
     def from_int(cls, params: PadicParams, n: int, cap: int | None = None) -> "PadicElt":
         c = params.prec_pi if cap is None else cap
         return cls(params, [n] + [0] * (params.e - 1), c)
+
+    @classmethod
+    def from_rational(cls, params: PadicParams, q: Fraction | int) -> "PadicElt":
+        """q at cap prec_pi; DomainError for a q outside Z_p."""
+        q = Fraction(q)
+        if q.denominator % params.p == 0:
+            raise DomainError(f"{q} is not in Z_p (denominator divisible by p)")
+        return cls.from_int(params, q.numerator).div_unit(cls.from_int(params, q.denominator))
 
     @classmethod
     def zero(cls, params: PadicParams, cap: int | None = None) -> "PadicElt":
@@ -278,9 +283,8 @@ class PadicElt:
             raise DivisionByNonUnit(f"not a unit at cap: {self!r}")
         p = self.params.p
         if self.params.e == 1:  # unramified: one native modular inverse
-            return PadicElt(
-                self.params, [pow(self.digits[0], -1, p ** self.cap)], self.cap
-            )
+            inv = pow(self.digits[0], -1, self.params.modulus(self.cap))
+            return PadicElt(self.params, [inv], self.cap)
         z = PadicElt.from_int(self.params, pow(self.digits[0] % p, -1, p), self.cap)
         two = PadicElt.from_int(self.params, 2, self.cap)
         for _ in range(self.cap.bit_length() + 2):
@@ -417,8 +421,8 @@ class ScaledElt:
             return cls(PadicElt.zero(params), 0)
         p, e = params.p, params.e
         vn, vd = vp(q.numerator, p), vp(q.denominator, p)
-        num = PadicElt.from_int(params, q.numerator // _ppow(p, vn))
-        den = PadicElt.from_int(params, q.denominator // _ppow(p, vd))
+        num = PadicElt.from_int(params, q.numerator // p ** vn)
+        den = PadicElt.from_int(params, q.denominator // p ** vd)
         return cls(num.div_unit(den), e * (vn - vd))
 
     @property
@@ -530,7 +534,7 @@ def _ring_mul(params: PadicParams, a, b) -> list[int]:
 def _pi_shift(params: PadicParams, ds, t: int) -> list[int]:
     """Digits of pi^t * x for t >= 0 (pi^e = p carries the top digits round)."""
     q, r = divmod(t, params.e)
-    pq, k = _ppow(params.p, q), params.e - r
+    pq, k = params.p ** q, params.e - r
     if not r:
         return [d * pq for d in ds]
     return [d * pq * params.p for d in ds[k:]] + [d * pq for d in ds[:k]]
@@ -539,7 +543,7 @@ def _pi_shift(params: PadicParams, ds, t: int) -> list[int]:
 def _pi_unshift(params: PadicParams, ds, t: int) -> list[int]:
     """Digits of x / pi^t where t <= valpi(x), so every division is exact."""
     q, r = divmod(t, params.e)
-    pq = _ppow(params.p, q)
+    pq = params.p ** q
     return [d // pq for d in ds[r:]] + [d // (pq * params.p) for d in ds[:r]]
 
 
@@ -574,8 +578,8 @@ def _running_quotients(params: PadicParams, factors, fail) -> list[tuple[tuple[i
             f, fcap, fexp, fv = _pi_unshift(params, f, fv), fcap - fv, fv, 0
         cap = min(mcap + fv, fcap + mv, prec)
         vn = vp(n, p)
-        modulus = _ppow(p, -(-cap // e))
-        inv = pow(n // _ppow(p, vn), -1, modulus)
+        modulus = params.modulus(cap)
+        inv = pow(n // p ** vn, -1, modulus)
         # m feeds only products and the canonical q_n, so it is carried modulo
         # p^ceil(cap/e), a multiple of its digit moduli
         m = [d * inv % modulus for d in _ring_mul(params, m, f)]
@@ -608,8 +612,8 @@ def teichmuller_decompose(x: PadicElt) -> tuple[int, PadicElt, PadicElt]:
     if v is None:
         raise ZeroInput("cannot decompose zero at cap")
     p, cap = params.p, x.cap - v
-    mod = _ppow(p, cap)
-    u = x.digits[0] // _ppow(p, v)
+    mod = params.modulus(cap)
+    u = x.digits[0] // p ** v
     # u^(p^j) is fixed mod p^(j+1): omega = u^(p^(cap-1)) mod p^cap
     w = pow(u, p ** (cap - 1), mod)
     angle = u * pow(w, -1, mod) % mod
@@ -629,7 +633,7 @@ def _unit_power_sum(params: PadicParams, z, cap: int, t: int, acc, terms) -> Pad
     """
     e = params.e
     cu = cap - t
-    mod = _ppow(params.p, -(-cu // e))
+    mod = params.modulus(cu)
     u = _pi_unshift(params, _canon(params, z, cap), t)
     un = [1] + [0] * (e - 1)
     for inv, shift in terms:
@@ -653,7 +657,7 @@ def plog(x: PadicElt) -> PadicElt:
         return PadicElt.zero(params, cap)
     if t < 1:
         raise OutOfConvergenceDomain(f"v(x-1) = {Fraction(t, e)} < 1/e")
-    mod = _ppow(p, -(-cap // e))
+    mod = params.modulus(cap)
 
     def terms():
         n, width = 1, 1            # width: number of base-p digits of n
@@ -664,9 +668,9 @@ def plog(x: PadicElt) -> PadicElt:
                     f"log term {n} has valuation {Fraction(n * t - e * vn, e)}; "
                     "series leaves the integral ring"
                 )
-            yield pow((-1) ** (n + 1) * (n // _ppow(p, vn)), -1, mod), n * t - e * vn
+            yield pow((-1) ** (n + 1) * (n // p ** vn), -1, mod), n * t - e * vn
             n += 1
-            width += n == _ppow(p, width)
+            width += n == p ** width
 
     return _unit_power_sum(params, z, cap, t, [0] * e, terms())
 
@@ -681,7 +685,7 @@ def pexp(y: PadicElt) -> PadicElt:
     if t * (p - 1) <= e:
         raise OutOfConvergenceDomain(f"v(y) = {Fraction(t, e)} <= 1/(p-1); exp diverges")
 
-    mod = _ppow(p, -(-cap // e))
+    mod = params.modulus(cap)
 
     def terms():
         # 1/(unit part of n!) is built by small inverses, one per term: inverting
@@ -690,7 +694,7 @@ def pexp(y: PadicElt) -> PadicElt:
         while n * (t * (p - 1) - e) + e < cap * (p - 1):
             vn = vp(n, p)
             vpf += vn
-            fact_inv = fact_inv * pow(n // _ppow(p, vn), -1, mod) % mod
+            fact_inv = fact_inv * pow(n // p ** vn, -1, mod) % mod
             yield fact_inv, n * t - e * vpf
             n += 1
 

@@ -44,7 +44,7 @@ __all__ = [
 # A coefficient of a series is a sum of products of capped elements.  Its cap
 # is the min of the product caps, min(cap_x + v(y), cap_y + v(x), prec_pi) each
 # (v = valpi-or-cap), and its digits are the exact integer sum reduced by
-# PadicParams.digit_modulus at that cap.  Reducing partial sums at their own
+# PadicParams.digit_tables at that cap.  Reducing partial sums at their own
 # (larger) caps first changes nothing, so the kernel sums unreduced integers
 # and reduces once: the digits and caps are those of the element-wise loops.
 #
@@ -477,7 +477,7 @@ def _subst_table(params: PadicParams, nx: int, c: int):
     digit plane is zero.
     """
     prec = params.prec_pi
-    modulus = params.digit_tables[0][0][prec]
+    modulus = params.modulus(prec)
     u = [_int_binom(c, j) % modulus for j in range(1, nx)]
     while u and not u[-1]:   # u has degree c for an integer c >= 0
         u.pop()

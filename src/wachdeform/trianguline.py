@@ -26,7 +26,6 @@ from operator import add
 from .deform import DeformCertificate, check_request, deform_trace
 from .errors import (
     DomainError,
-    InexactDivision,
     NonpositiveValuation,
     NormViolation,
     PreconditionFails,
@@ -75,17 +74,6 @@ def _angle_offset(alpha: PadicElt) -> tuple[list[int], int | None]:
     if v < params.e and v < alpha.cap:
         raise DomainError(f"argument not in 1 + pZ_p: v(alpha - 1) = {Fraction(v, params.e)}")
     return z, (None if v == alpha.cap else v)
-
-
-def _as_zp(params: PadicParams, s) -> PadicElt:
-    """Coerce an exponent (element, integer, or rational in Z_p) to an element."""
-    if isinstance(s, PadicElt):
-        return s
-    q = Fraction(s)
-    try:
-        return ScaledElt.from_rational(params, q).to_padic()
-    except InexactDivision:
-        raise DomainError(f"exponent {q} is not in Z_p (denominator divisible by p)")
 
 
 # --------------------------------------------------------------------------- #
@@ -147,7 +135,8 @@ def psi_eval(alpha: PadicElt, s) -> PadicElt:
     """
     params = alpha.params
     z, t = _angle_offset(alpha)
-    s = _as_zp(params, s)
+    if not isinstance(s, PadicElt):
+        s = PadicElt.from_rational(params, s)
 
     exp_path = pexp(s * plog(alpha))
     bin_path = _binomial_route(alpha, z, t, s)

@@ -159,9 +159,9 @@ def _run_axiom_checks(w: WachData) -> AxiomReport:
     det_unit_ok = _det_is_unit_times_qpow(w)
 
     p0 = w.P.eval0()
-    # p^(k-1) is zero at cap once k - 1 reaches ceil(prec_pi / e): a weight read
-    # from a file may be far larger than any power worth forming
-    q = PadicElt.from_int(params, params.p ** min(k - 1, -(-params.prec_pi // e)))
+    # p^(k-1) is zero at cap once e(k - 1) reaches prec_pi: a weight read from a
+    # file may be far larger than any power worth forming
+    q = PadicElt.from_int(params, params.modulus(min(e * (k - 1), params.prec_pi)))
     charpoly_ok = (p0.trace() - w.a_p).is_zero_at_cap() and (
         p0.det() - q
     ).is_zero_at_cap()
@@ -625,8 +625,8 @@ def _matrix_text(m: MatrixSeries) -> str:
 
 def _require_chi_fits(params: PadicParams, chi_gamma: int) -> None:
     """Refuse a chi_gamma of p^ceil(prec_pi/e) or more: a file stores it at cap prec_pi."""
-    t = -(-params.prec_pi // params.e)
-    if chi_gamma >= params.p ** t:
+    if chi_gamma >= params.modulus(params.prec_pi):
+        t = -(-params.prec_pi // params.e)
         raise DomainError(
             f"chi_gamma {chi_gamma} does not fit a file at prec_pi {params.prec_pi}: "
             f"it must be below p^{t}"

@@ -91,8 +91,14 @@ def test_psi_ramified_prints_digits(capsys):
     assert modulus.strip() == "3^12)"
 
 
-def test_psi_outside_domain_is_an_error():
-    assert main(["psi", "--p", "3", "--alpha", "2", "--s", "1/2"]) == 1
+@pytest.mark.parametrize("alpha, s, message", [
+    ("2", "1/2", "argument not in 1 + pZ_p: v(alpha - 1) = 0"),
+    ("1/3", "1", "1/3 is not in Z_p (denominator divisible by p)"),
+    ("4", "1/3", "1/3 is not in Z_p (denominator divisible by p)"),
+], ids=["alpha 2", "alpha 1/3", "s 1/3"])
+def test_psi_outside_domain_is_an_error(alpha, s, message, capsys):
+    assert main(["psi", "--p", "3", "--alpha", alpha, "--s", s]) == 1
+    assert capsys.readouterr() == ("", f"error: DomainError: {message}\n")
 
 
 def test_rational_flag_rejects_garbage():
@@ -594,6 +600,7 @@ M_BAD = "congruence level must lie in (1/1)Z_(>=1), got {}"
 BOUND_BAD = "v(a_p - a'_p) = 0 < 2 v(a_p) + alpha(k-1) + m = 3"
 AP_ZERO = "a_p = 0 admits only the identity deformation"
 STAR_BAD = "(*) fails: k = 2 < 17 for (p, v(a_p), m) = (3, 1, 1)"
+NOT_ZP = "1/3 is not in Z_p (denominator divisible by p)"
 
 
 @cache
@@ -648,6 +655,10 @@ FAULT_PAIRS = [   # (command line or library call, error class, message)
     _pair("deform ap0>prec", "deform --p 3 --k 2 --ap 0 --ap-new 9 --m 1 --prec-pi 5",
           BoundViolated, AP_ZERO),
     _pair("deform_trace ap0", _trace(9, 1, ap=0), BoundViolated, AP_ZERO),
+    # a_p outside Z_p passes the request (a'_p - a_p meets the bound) and is refused
+    # as it enters the ring, before any seeding
+    _pair("seed ap>Z_p", "seed --p 3 --k 2 --ap 1/3", DomainError, NOT_ZP),
+    _pair("deform ap>Z_p", "deform --p 3 --k 2 --ap 1/3 --ap-new 30 --m 1", DomainError, NOT_ZP),
     # the weight step: the request, then a_p = 0, then (*)
     _pair("weightstep m>star", "weightstep --in @3:2 --m 1/2", DomainError, M_BAD.format("1/2")),
     _pair("weightstep m0>star", "weightstep --in @3:2 --m 0", DomainError, M_BAD.format(0)),

@@ -26,7 +26,6 @@ from wachdeform.padics import (
     PadicParams,
     ScaledElt,
     _pi_shift,
-    _ppow,
     _valpi_or_cap,
     _valpi_or_caps,
     binom_coeffs,
@@ -76,6 +75,33 @@ def test_canonical_digit_moduli_ramified():
     assert y.digits == (10 % 9, 29 % 9)
     z = PadicElt(E2, [10, 29], 3)       # moduli 3^2, 3^1
     assert z.digits == (1, 2)
+
+
+@pytest.mark.parametrize("p, e, prec", [
+    (3, 1, 1), (3, 1, 20), (3, 2, 12), (5, 2, 11), (7, 3, 10), (3, 5, 5), (5, 9, 9), (3, 64, 64),
+])
+def test_digit_tables_match_the_modulus_formula(p, e, prec):
+    # digit j known mod pi^c is known mod p^ceil((c - j)/e), 1 when c <= j
+    params = PadicParams(p, e, prec)
+    moduli, log = params.digit_tables
+    assert moduli == tuple(
+        tuple(p ** math.ceil(Fraction(c - j, e)) if c > j else 1 for c in range(prec + 1))
+        for j in range(e)
+    )
+    assert log == {p ** t: t for t in range(math.ceil(Fraction(prec, e)) + 1)}
+    assert [params.modulus(c) for c in range(prec + 1)] == list(moduli[0])
+
+
+@pytest.mark.parametrize("params", [P3, E2, PadicParams(3, 3, 9)], ids=["e1", "e2", "e3"])
+def test_from_rational_is_the_rational_at_prec_pi(params):
+    for q in (0, 1, -6, 9, Fraction(1, 2), Fraction(-27, 4), Fraction(3 ** 30, 5)):
+        x = PadicElt.from_rational(params, q)
+        assert x == ScaledElt.from_rational(params, q).to_padic()
+        assert x.cap == params.prec_pi
+    for q in (Fraction(1, 3), Fraction(-5, 9), Fraction(2, 3 ** 40)):
+        with pytest.raises(DomainError) as info:
+            PadicElt.from_rational(params, q)
+        assert str(info.value) == f"{q} is not in Z_p (denominator divisible by p)"
 
 
 def test_mul_example_inverse_pair():
@@ -469,7 +495,7 @@ def ref_plog(x):
         vn = vp(n, p)
         if n * t - e * vn < 1:
             raise OutOfConvergenceDomain("series leaves the integral ring")
-        mant = un.div_unit(PadicElt.from_int(params, n // _ppow(p, vn)))
+        mant = un.div_unit(PadicElt.from_int(params, n // p ** vn))
         if n % 2 == 0:
             mant = -mant
         acc = acc + mant.pi_mul(n * t - e * vn)
@@ -487,7 +513,7 @@ def ref_pexp(y):
         raise OutOfConvergenceDomain("exp diverges")
     target = min(y.cap, params.prec_pi)
     u = y.pi_div_exact(t)
-    fact_mod = _ppow(p, -(-params.prec_pi // e) + 1)
+    fact_mod = p ** (-(-params.prec_pi // e) + 1)
     acc = PadicElt.one(params, target)
     un = PadicElt.one(params, u.cap)
     fact_unit, vpf = 1, 0
@@ -498,7 +524,7 @@ def ref_pexp(y):
         un = un * u
         vn = vp(n, p)
         vpf += vn
-        fact_unit = fact_unit * (n // _ppow(p, vn)) % fact_mod
+        fact_unit = fact_unit * (n // p ** vn) % fact_mod
         mant = un.div_unit(PadicElt.from_int(params, fact_unit))
         acc = acc + mant.pi_mul(n * t - e * vpf)
         n += 1
@@ -616,7 +642,7 @@ def raw_digits(draw, params):
         elif kind == "power":
             digits.append(sign * unit * params.p ** draw(st.integers(0, 30)))
         else:   # a multiple of this digit's modulus at cap: zero at cap
-            digits.append(sign * unit * params.digit_modulus(cap, j))
+            digits.append(sign * unit * params.p ** max(0, -(-(cap - j) // params.e)))
     return digits, cap
 
 
