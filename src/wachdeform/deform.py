@@ -228,6 +228,11 @@ def precision_default(
 # the constant seed H0
 # --------------------------------------------------------------------------- #
 
+def _min_val(m: Mat2 | MatrixSeries, of_caps: bool = False) -> Fraction:
+    """The least valpi-or-cap (or cap) over the entries of m, with v(p) = 1."""
+    return Fraction(m.min_cap() if of_caps else m.min_val_or_cap(), m.entries()[0].params.e)
+
+
 def build_h0(p0: Mat2, eps: PadicElt, floor: Fraction) -> Mat2:
     """Constant seed of the deformation: det(Id+H0) = 1, Tr(H0 P0) = eps.
 
@@ -273,7 +278,7 @@ def build_h0(p0: Mat2, eps: PadicElt, floor: Fraction) -> Mat2:
         raise PrecisionExhausted("det(Id + H0) - 1 does not vanish at cap")
     if not ((h0 * p0).trace() - eps).is_zero_at_cap():
         raise PrecisionExhausted("Tr(H0 P0) - eps does not vanish at cap")
-    got = Fraction(h0.min_val_or_cap(), params.e)
+    got = _min_val(h0)
     if got < floor:
         raise ValuationFloorUnreachable(
             f"H0 valuation {got} below the required floor {floor}"
@@ -300,7 +305,7 @@ def extend_h(
     finished H re-checks that every order of D below x^k vanishes.
     """
     params = g.params
-    if Fraction(h0.min_val_or_cap(), params.e) < floors[0]:
+    if _min_val(h0) < floors[0]:
         raise ValuationFloorUnreachable(
             f"H0 must sit above p^(alpha(k-1)+m) = p^{floors[0]}"
         )
@@ -326,12 +331,9 @@ def extend_h(
                 f"step {r}: division by 1 - chi^{r} left the integral ring: {exc}"
             )
         hs.append(hr)
-        got = Fraction(hr.min_val_or_cap(), params.e)
-        if Fraction(hr.min_cap(), params.e) < floors[r]:
-            raise PrecisionExhausted(
-                f"step {r}: cap {Fraction(hr.min_cap(), params.e)} cannot certify "
-                f"the floor {floors[r]}"
-            )
+        got, cap = _min_val(hr), _min_val(hr, of_caps=True)
+        if cap < floors[r]:
+            raise PrecisionExhausted(f"step {r}: cap {cap} cannot certify the floor {floors[r]}")
         if got < floors[r]:
             raise ValuationFloorUnreachable(
                 f"step {r}: v(H_{r}) = {got} below the floor {floors[r]}"
@@ -448,10 +450,6 @@ class DeformCertificate:
         }
 
 
-def _series_min_val(ms: MatrixSeries) -> Fraction:
-    return Fraction(ms.min_val_or_cap(), ms.params.e)
-
-
 def deform_trace(
     w: WachData, ap_new: PadicElt, m
 ) -> tuple[WachData, DeformCertificate]:
@@ -487,9 +485,7 @@ def deform_trace(
     wp = WachData(params=params, k=k, a_p=ap_new, chi_gamma=chi, P=pp, G=gp)
     report_p = check_axioms(wp)
 
-    h_vals = tuple(
-        Fraction(h.coeff(r).min_val_or_cap(), params.e) for r in range(k)
-    )
+    h_vals = tuple(_min_val(h.coeff(r)) for r in range(k))
     cert = DeformCertificate(
         p=params.p,
         e=params.e,
@@ -506,8 +502,8 @@ def deform_trace(
         h_valuations=h_vals,
         h_floors=h_floors,
         iteration_log=log,
-        p_congruent=_series_min_val(w.P - pp) >= m,
-        g_congruent=_series_min_val(w.G - gp) >= m,
+        p_congruent=_min_val(w.P - pp) >= m,
+        g_congruent=_min_val(w.G - gp) >= m,
         charpoly_ok=report_p.charpoly_ok,
         axioms_ok=report_p.ok,
     )

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable
 
 from .errors import (
@@ -115,8 +115,8 @@ def vp(q: int | Fraction, p: int) -> int:
 # parameters
 # --------------------------------------------------------------------------- #
 
-# the largest prec_pi: it bounds the digit tables (e (prec_pi + 1) entries, e <=
-# prec_pi) and lies above the default budget at m = 1 up to weight 45 (e = 1)
+# the largest prec_pi: it bounds the row of digit moduli (prec_pi + e entries,
+# e <= prec_pi) and lies above the default budget at m = 1 up to weight 45 (e = 1)
 MAX_PREC_PI = 4096
 
 
@@ -126,11 +126,10 @@ class PadicParams:
 
     prec_pi is the hard ceiling: no element ever claims more than prec_pi
     pi-adic digits, and it is at most MAX_PREC_PI.  Every modulus is read from
-    one row of p^ceil(t/e), -e < t <= prec_pi: digit j of an element known mod
-    pi^c is known mod p^ceil((c - j)/e), the row at c - j.  The e digit tables
-    are slices of that row, e (prec_pi + 1) entries in all (16.8 million at
-    e = prec_pi = 4096), so e is bounded by prec_pi too: at a cap below e,
-    p = pi^e is zero and no valuation of p is visible.
+    one row of p^ceil(t/e), -e < t <= prec_pi, prec_pi + e entries (8192 at
+    e = prec_pi = 4096): digit j of an element known mod pi^c is known mod
+    p^ceil((c - j)/e), the row at c - j.  e is bounded by prec_pi too: at a cap
+    below e, p = pi^e is zero and no valuation of p is visible.
     """
 
     p: int
@@ -148,20 +147,20 @@ class PadicParams:
             raise PrecisionExhausted(f"ramification index {self.e} exceeds prec_pi {self.prec_pi}")
 
     @cached_property
-    def digit_tables(self) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
-        """(moduli, log): moduli[j][c] = p^ceil((c - j)/e) for c <= prec_pi, log[p^t] = t.
+    def digit_tables(self) -> tuple[tuple[int, ...], dict[int, int]]:
+        """(row, log): row[t] = p^ceil(t/e) for -e < t <= prec_pi, log[p^t] = t.
 
-        moduli[j] is the row of p^ceil(t/e) shifted by j, so 1 wherever c <= j.
+        The row is indexed by t itself: its last e - 1 entries are the 1s of
+        t < 0, which a negative index reads.  Only this module reads it.
         """
         e, prec = self.e, self.prec_pi
         powers = list(accumulate(repeat(self.p, -(-prec // e)), mul, initial=1))
-        row = tuple([powers[-(-t // e)] for t in range(1 - e, prec + 1)])
-        moduli = tuple([row[e - 1 - j:e + prec - j] for j in range(e)])
-        return moduli, {q: t for t, q in enumerate(powers)}
+        row = tuple([powers[-(-t // e)] for t in range(prec + 1)] + [1] * (e - 1))
+        return row, {q: t for t, q in enumerate(powers)}
 
     def modulus(self, cap: int) -> int:
         """p^ceil(cap/e), 0 <= cap <= prec_pi: digit 0's modulus, a multiple of the others'."""
-        return self.digit_tables[0][0][cap]
+        return self.digit_tables[0][cap]
 
 
 def _check_same(a: "PadicElt", b: "PadicElt") -> None:
@@ -485,20 +484,27 @@ class ScaledElt:
 
 def _canon(params: PadicParams, ds, cap: int) -> list[int]:
     """Canonical digits at cap (what PadicElt stores)."""
-    return [d % m[cap] for d, m in zip(ds, params.digit_tables[0])]
+    row = params.digit_tables[0]
+    return [d % row[cap - j] for j, d in enumerate(ds)]
+
+
+def _digit_moduli(params: PadicParams, j: int, caps):
+    """The moduli p^ceil((c - j)/e) of digit j at each cap c, lazily."""
+    row = params.digit_tables[0]
+    return map(row.__getitem__, map(sub, caps, repeat(j)) if j else caps)
 
 
 def _valpi_or_cap(params: PadicParams, ds, cap: int) -> int:
     """valpi-or-cap of digits known at cap, reduced or not.
 
     gcd(d, modulus) is p^vp(d), or the modulus itself when d is a multiple of
-    it (zero at cap); the digit tables give its exponent.
+    it (zero at cap); the log map gives its exponent.
     """
-    moduli, log = params.digit_tables
+    row, log = params.digit_tables
     v = cap
     for j, d in enumerate(ds):
         if d:
-            w = j + params.e * log[math.gcd(d, moduli[j][cap])]
+            w = j + params.e * log[math.gcd(d, row[cap - j])]
             if w < v:
                 v = w
     return v
@@ -506,10 +512,9 @@ def _valpi_or_cap(params: PadicParams, ds, cap: int) -> int:
 
 def _valpi_or_caps(params: PadicParams, planes, caps) -> tuple[int, ...]:
     """`_valpi_or_cap` of each coefficient of digit planes at the given caps."""
-    moduli, log = params.digit_tables
-    e = params.e
+    log, e = params.digit_tables[1], params.e
     per_digit = [
-        [s + e * log[g] for g in map(math.gcd, plane, map(moduli[s].__getitem__, caps))]
+        [s + e * log[g] for g in map(math.gcd, plane, _digit_moduli(params, s, caps))]
         for s, plane in enumerate(planes)
     ]
     return tuple(list(map(min, caps, *per_digit)))

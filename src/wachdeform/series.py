@@ -23,7 +23,7 @@ from .errors import (
     ParamMismatch,
     PrecisionExhausted,
 )
-from .padics import PadicElt, PadicParams, _canon, _valpi_or_cap, _valpi_or_caps
+from .padics import PadicElt, PadicParams, _canon, _digit_moduli, _valpi_or_cap, _valpi_or_caps
 
 __all__ = [
     "PadicSeries",
@@ -43,10 +43,11 @@ __all__ = [
 #
 # A coefficient of a series is a sum of products of capped elements.  Its cap
 # is the min of the product caps, min(cap_x + v(y), cap_y + v(x), prec_pi) each
-# (v = valpi-or-cap), and its digits are the exact integer sum reduced by
-# PadicParams.digit_tables at that cap.  Reducing partial sums at their own
-# (larger) caps first changes nothing, so the kernel sums unreduced integers
-# and reduces once: the digits and caps are those of the element-wise loops.
+# (v = valpi-or-cap), and its digits are the exact integer sum reduced by the
+# digit moduli at that cap (`padics._digit_moduli`).  Reducing partial sums at
+# their own (larger) caps first changes nothing, so the kernel sums unreduced
+# integers and reduces once: the digits and caps are those of the element-wise
+# loops.
 #
 # Exact data costs nothing.  An exact zero (digit 0 at cap prec_pi) has
 # valpi-or-cap prec_pi, so both bounds of any product with it are at least
@@ -64,9 +65,8 @@ def _reduce(params: PadicParams, raw, caps) -> tuple[tuple[int, ...], ...]:
     # tuples are built from lists, not iterators: a tuple grown from an
     # iterator is resized outside CPython's per-size free lists but returns to
     # them when freed, so short truncated series would fill those lists
-    moduli = params.digit_tables[0]
     return tuple([
-        tuple(list(map(mod, plane, map(moduli[s].__getitem__, caps)))
+        tuple(list(map(mod, plane, _digit_moduli(params, s, caps)))
               + [0] * (len(caps) - len(plane)))
         for s, plane in enumerate(raw)
     ])

@@ -25,10 +25,11 @@ The seeds, logs and exceptions are those of the element arithmetic.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from operator import mul
+from operator import mod, mul
 from pathlib import Path
 
 from .errors import (
@@ -44,6 +45,7 @@ from .padics import (
     PadicElt,
     PadicParams,
     _canon,
+    _digit_moduli,
     _pi_div_digits,
     _valpi_or_cap,
 )
@@ -284,9 +286,9 @@ def _solve_order_low(
 #   cap_x - t.
 #
 # A sum of products is summed from unreduced digits and reduced once, at its
-# final cap, through PadicParams.digit_tables: a partial result reduced at its
-# own, larger cap differs from it by a multiple of the final modulus, so the
-# digits and caps are those of the Mat2/MatrixSeries arithmetic.
+# final cap, by `padics._digit_moduli`: a partial result reduced at its own,
+# larger cap differs from it by a multiple of the final modulus, so the digits
+# and caps are those of the Mat2/MatrixSeries arithmetic.
 #
 # Multiplication by a constant of O_E is linear on digits: x y has the digits
 # M_x y for the e x e integer matrix M_x of `_mul_matrix`.  So the contraction
@@ -372,7 +374,6 @@ def _contract(
     """
     left, right, p0c, p0v, adjc, adjv = maps
     e, prec, t = params.e, params.prec_pi, params.e * (k - 1)
-    moduli = params.digit_tables[0]
     starts = range(0, 4 * e, e)
     # the sweep's bounds read valuations of S and P0 S only when P0 (whose caps
     # adj(P0) shares) is inexact
@@ -405,7 +406,9 @@ def _contract(
         # R0's cap is below prec_pi, so the scale cap needs no prec_pi bound
         caps = [rc if rc < uc + et else uc + et
                 for rc, uc in zip(r0c, _product_caps(prec, psc, vals(ps, psc), adjc, adjv))]
-        mods = [m[cap] for cap in caps for m in moduli]
+        mods = [0] * (4 * e)
+        for s in range(e):   # digit s of the entries sits at s, s + e, s + 2e, s + 3e
+            mods[s::e] = _digit_moduli(params, s, caps)
         ds = [(a + pt * b) % m for a, b, m in zip(r0d, u, mods)]
         if ds == sd and caps == sc:
             return [_triple(params, ds[i:i + e], cap) for i, cap in zip(starts, caps)]
@@ -450,7 +453,7 @@ def _add_correction(params: PadicParams, d, pq, gp, s, j: int) -> None:
     the third product bound never binds.  D is left as it is beyond the
     longest support of an entry's series.
     """
-    moduli, prec = params.digit_tables[0], params.prec_pi
+    prec = params.prec_pi
     n = len(d[0][1]) - j
     fs = []   # per series: support below n, digit planes, valuations, caps, least of each
     for f in (*pq, *gp):
@@ -477,14 +480,14 @@ def _add_correction(params: PadicParams, d, pq, gp, s, j: int) -> None:
                     new_caps[:m] = [a if a < b + cap else b + cap for a, b in zip(new_caps, fv[:m])]
                 if least_c + v < prec:
                     new_caps[:m] = [a if a < b + v else b + v for a, b in zip(new_caps, fc[:m])]
-            for so, (plane, mods) in enumerate(zip(planes, moduli)):
+            for so, plane in enumerate(planes):
                 acc = plane[j:j + h]
                 for (m, fp, *_), (mult, _, _), sign in terms:
                     for t, a in enumerate(mult[so]):
                         if a:
                             a *= sign
                             acc[:m] = [x + a * y for x, y in zip(acc, fp[t][:m])]
-                plane[j:j + h] = [x % mods[cap] for x, cap in zip(acc, new_caps)]
+                plane[j:j + h] = list(map(mod, acc, _digit_moduli(params, so, new_caps)))
             caps[j:j + h] = new_caps
 
 
@@ -652,19 +655,35 @@ def save_wach(w: WachData, path: str | Path) -> None:
     Path(path).write_text("{\n " + ",\n ".join(f'"{k}": {v}' for k, v in fields) + "\n}\n")
 
 
+_INT_TEXT = re.compile("-?[0-9]+")
+
+
+def _file_int(v) -> int:
+    """A JSON int that is not a bool, or an ASCII decimal string as `save_wach`
+    writes it; ValueError for anything else (floats, padded or grouped text)."""
+    if type(v) is int:
+        return v
+    if type(v) is str and _INT_TEXT.fullmatch(v):
+        return int(v)   # ValueError past the interpreter's digit limit
+    raise ValueError(f"not an integer: {v!r}")
+
+
 def _req_int(obj: dict, key: str) -> int:
     try:
-        return int(obj[key])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:   # int(inf) overflows
+        return _file_int(obj[key])
+    except (KeyError, ValueError) as exc:
         raise MalformedFile(f"field {key!r} missing or not an integer string") from exc
 
 
 def _elt_digits(obj, params: PadicParams, where: str) -> tuple[list[int], int]:
     """Canonical digits and cap of one element object, validated."""
     try:
-        digits = [int(d) for d in obj["digits"]]
-        cap = int(obj["cap"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:   # int(inf) overflows
+        digits = obj["digits"]
+        if type(digits) is not list:
+            raise TypeError("digits must be a list")
+        digits = [_file_int(d) for d in digits]
+        cap = _file_int(obj["cap"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise MalformedFile(f"{where}: bad element encoding") from exc
     if len(digits) != params.e:
         raise MalformedFile(f"{where}: expected {params.e} digits, got {len(digits)}")

@@ -158,6 +158,36 @@ def test_verify_non_finite_number_is_malformed(tmp_path, capsys, old, new):
     assert err.startswith("input: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("where, value", [
+    (["p"], 3.9),
+    (["k"], 2.5),
+    (["a_p", "cap"], 37.9),
+    (["a_p", "digits", 0], 3.7),
+    (["a_p", "digits"], "3"),              # a string, not a list of digits
+    (["a_p", "digits", 0], " 3 "),
+    (["a_p", "digits", 0], "3_0"),
+    (["a_p", "digits", 0], "\u0663"),      # ARABIC-INDIC DIGIT THREE
+    (["a_p", "digits", 0], True),
+], ids=["p-float", "k-float", "cap-float", "digit-float", "digits-string", "digit-padded",
+        "digit-grouped", "digit-non-ascii", "digit-bool"])
+def test_verify_refuses_numbers_save_never_writes(tmp_path, capsys, where, value):
+    # each once loaded, truncated or leniently parsed: verify then passed, or
+    # failed a module nobody wrote (a_p = 30 from "3_0", a_p = 1 from true)
+    path = tmp_path / "mod.json"
+    assert main(["seed", "--p", "3", "--k", "2", "--ap", "3", "--out", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    *keys, last = where
+    node = obj
+    for key in keys:
+        node = node[key]
+    node[last] = value
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path)]) == 5
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("chi", [
     {"cap": "1", "digits": ["5"]}, {"cap": "2", "digits": ["11"]},
 ])
@@ -338,8 +368,9 @@ def test_huge_prec_pi_header_refused_fast(tmp_path, capsys):
 
 
 def test_ramification_past_prec_pi_header_refused_fast(tmp_path, capsys):
-    # the digit tables hold e (prec_pi + 1) moduli and prec_pi alone was capped,
-    # so a raised e header once made verify build e * 4097 moduli
+    # when prec_pi alone was capped, a raised e header once made verify build
+    # e * 4097 digit moduli; the row of moduli has prec_pi + e entries, and an
+    # e above prec_pi is refused before it is built
     path = tmp_path / "mod.json"
     assert main(["seed", "--p", "3", "--k", "2", "--ap", "3", "--out", str(path)]) == 0
     obj = json.loads(path.read_text())

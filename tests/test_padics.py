@@ -22,9 +22,12 @@ from wachdeform.errors import (
 )
 from wachdeform import padics
 from wachdeform.padics import (
+    MAX_PREC_PI,
     PadicElt,
     PadicParams,
     ScaledElt,
+    _canon,
+    _digit_moduli,
     _pi_shift,
     _valpi_or_cap,
     _valpi_or_caps,
@@ -58,7 +61,7 @@ def test_params_reject_bad_inputs():
         PadicParams(2, 1, 10)           # even prime excluded
     with pytest.raises(DomainError):
         PadicParams(3, 0, 10)
-    # p = pi^e is zero below cap e, and the digit tables grow with e * prec_pi
+    # p = pi^e is zero below cap e: no valuation of p is visible there
     assert PadicParams(3, 4, 4).e == 4
     with pytest.raises(PrecisionExhausted, match="ramification index 5 exceeds prec_pi 4"):
         PadicParams(3, 5, 4)
@@ -79,17 +82,25 @@ def test_canonical_digit_moduli_ramified():
 
 @pytest.mark.parametrize("p, e, prec", [
     (3, 1, 1), (3, 1, 20), (3, 2, 12), (5, 2, 11), (7, 3, 10), (3, 5, 5), (5, 9, 9), (3, 64, 64),
+    (3, MAX_PREC_PI, MAX_PREC_PI),
 ])
 def test_digit_tables_match_the_modulus_formula(p, e, prec):
-    # digit j known mod pi^c is known mod p^ceil((c - j)/e), 1 when c <= j
+    # digit j known mod pi^c is known mod p^ceil((c - j)/e), 1 when c <= j; the
+    # readers take it from one row of prec_pi + e moduli
     params = PadicParams(p, e, prec)
-    moduli, log = params.digit_tables
-    assert moduli == tuple(
-        tuple(p ** math.ceil(Fraction(c - j, e)) if c > j else 1 for c in range(prec + 1))
-        for j in range(e)
-    )
+    row, log = params.digit_tables
+    assert len(row) == prec + e
+    # formula[e - 1 + t] = p^ceil(t/e) for -e < t <= prec
+    formula = [p ** math.ceil(Fraction(t, e)) for t in range(1 - e, prec + 1)]
+    assert formula[:e] == [1] * e
+    caps = range(prec + 1)
+    for j in range(e):   # one digit plane at every cap
+        assert list(_digit_moduli(params, j, caps)) == formula[e - 1 - j:e + prec - j]
+    less_one = [m - 1 for m in formula]
+    for c in caps:       # every digit at one cap: -1 reduces to its modulus - 1
+        assert _canon(params, [-1] * e, c) == less_one[c:c + e][::-1]
+    assert [params.modulus(c) for c in caps] == formula[e - 1:]
     assert log == {p ** t: t for t in range(math.ceil(Fraction(prec, e)) + 1)}
-    assert [params.modulus(c) for c in range(prec + 1)] == list(moduli[0])
 
 
 @pytest.mark.parametrize("params", [P3, E2, PadicParams(3, 3, 9)], ids=["e1", "e2", "e3"])
