@@ -277,6 +277,39 @@ def digits_and_caps(xs):
 RINGS = [PadicParams(3, 1, 9), PadicParams(5, 1, 7), PadicParams(3, 2, 9)]
 
 
+@st.composite
+def series_pair(draw):
+    params = draw(st.sampled_from(RINGS))
+    nx = draw(st.integers(1, 7))
+    elts = st.lists(capped_elts(params), min_size=nx, max_size=nx)
+    f = PadicSeries(params, draw(elts), nx)
+    g = PadicSeries(params, draw(elts), draw(st.integers(1, 7)))
+    return f, g, draw(capped_elts(params))
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_pair())
+def test_kernel_matches_elementwise_reference(fgc):
+    f, g, _ = fgc
+    n = min(f.nx, g.nx)
+    assert digits_and_caps((f * g).coeffs) == digits_and_caps(ref_mul(f, g))
+    assert digits_and_caps((f + g).coeffs) == digits_and_caps(
+        [a + b for a, b in zip(f.coeffs[:n], g.coeffs[:n])]
+    )
+    assert digits_and_caps((f - g).coeffs) == digits_and_caps(
+        [a - b for a, b in zip(f.coeffs[:n], g.coeffs[:n])]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_pair(), st.integers(-3, 9))
+def test_substitution_matches_elementwise_reference(fgc, c):
+    f = fgc[0]
+    assert digits_and_caps(substitute_onepx_power(f, c).coeffs) == digits_and_caps(
+        ref_subst(f, c)
+    )
+
+
 # --------------------------------------------------------------------------
 # Weierstrass division and the substitution tables
 # --------------------------------------------------------------------------
@@ -444,17 +477,10 @@ BIND = PadicElt(P9, [1], P9.prec_pi - 1)   # a unit one digit short: its bounds 
 @given(tailed_pair())
 @example((PadicSeries(P9, [BIND], 3), PadicSeries(P9, [PadicElt.one(P9)], 3)))
 @example((PadicSeries(P9, [PadicElt.zero(P9, 8)], 2), PadicSeries(P9, [PadicElt.one(P9)], 2)))
-def test_kernel_matches_elementwise_reference(fg):
+def test_support_mul_matches_full_length_kernel(fg):
     f, g = fg
-    n = min(f.nx, g.nx)
     assert kernel_view(f * g) == elt_view(ref_mul(f, g))
     assert kernel_view(g * f) == elt_view(ref_mul(g, f))
-    assert digits_and_caps((f + g).coeffs) == digits_and_caps(
-        [a + b for a, b in zip(f.coeffs[:n], g.coeffs[:n])]
-    )
-    assert digits_and_caps((f - g).coeffs) == digits_and_caps(
-        [a - b for a, b in zip(f.coeffs[:n], g.coeffs[:n])]
-    )
 
 
 @settings(max_examples=100, deadline=None)
@@ -472,6 +498,6 @@ def test_cached_substitution_equals_fresh(fg, c):
 @given(tailed_pair(), st.integers(-3, 9))
 @example((PadicSeries(P9, [BIND], 3), None), 2)
 @example((PadicSeries(P9, [PadicElt.zero(P9, 8), PadicElt.one(P9)], 3), None), 2)
-def test_substitution_matches_elementwise_reference(fg, c):
+def test_support_subst_matches_full_length_kernel(fg, c):
     f = fg[0]
     assert kernel_view(substitute_onepx_power(f, c)) == elt_view(ref_subst(f, c))

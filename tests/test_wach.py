@@ -384,10 +384,53 @@ def times_q_outcomes(case):
     return kernel_view(_times_q(params, f, qs, n)), elt_view(ref_mul(f.reduce_nx(n), q))
 
 
-# Operands also carry exact-zero tails, may be whole exact zeros, may be exact
-# (every cap prec_pi, so their bounds are skipped) or hold zeros known only
-# below prec_pi, which still bind; P0 is exact or not, the right-hand side need
-# not be divisible, and at j = k - 1 the sweep need not contract.
+@settings(max_examples=200, deadline=None)
+@given(contraction_case())
+# an exact C with a unit entry against adj(P0) one digit short: only adj(P0)'s
+# cap bounds R0
+@example((P9, Mat2(ONE, fi(3, P9), fi(0, P9), fi(3, P9).reduce_cap(8)),
+          Mat2(ONE, *[PadicElt.zero(P9)] * 3), 2, 2))
+def test_contract_kernel_matches_reference(case):
+    got, want = contract_outcomes(case)
+    assert got == want
+
+
+@st.composite
+def update_case(draw):
+    params = draw(st.sampled_from(KERNEL_RINGS))
+    nx = draw(st.integers(2, 5))
+    j = draw(st.integers(1, nx - 1))
+    defect = draw(kernel_matrix_series(params, nx))
+    pq = draw(kernel_matrix_series(params, nx - j))
+    gamma_p = draw(kernel_matrix_series(params, nx))
+    return params, j, defect, pq, gamma_p, draw(kernel_mats(params))
+
+
+@settings(max_examples=80, deadline=None)
+@given(update_case())
+def test_defect_update_kernel_matches_reference(case):
+    got, want = update_outcomes(case)
+    assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(KERNEL_RINGS).flatmap(
+    lambda params: st.integers(2, 8).flatmap(
+        lambda nx: st.tuples(st.just(params), st.integers(1, nx - 1), kernel_series(params, nx))
+    )
+))
+def test_running_product_kernel_matches_reference(case):
+    got, want = times_q_outcomes(case)
+    assert got == want
+
+
+# --------------------------------------------------------------------------
+# the support-aware kernels.  Series entries carry exact-zero tails, may be
+# whole exact zeros, may be exact (every cap prec_pi, so their bounds are
+# skipped) or hold zeros known only below prec_pi, which still bind; P0 is
+# exact or not, the right-hand side need not be divisible, and at j = k - 1
+# the sweep need not contract.
+# --------------------------------------------------------------------------
 
 @st.composite
 def tailed_series(draw, params, nx):
@@ -420,15 +463,11 @@ FIB = Mat2(*(PadicElt.from_int(P9, n) for n in (0, 1, 1, 1)))
 
 @settings(max_examples=200, deadline=None)
 @given(support_contraction_case())
-# an exact C with a unit entry against adj(P0) one digit short: only adj(P0)'s
-# cap bounds R0
-@example((P9, Mat2(ONE, fi(3, P9), fi(0, P9), fi(3, P9).reduce_cap(8)),
-          Mat2(ONE, *[PadicElt.zero(P9)] * 3), 2, 2))
 @example((P9, Mat2(SHORT, ONE, ONE, ONE), Mat2(*[PadicElt.from_int(P9, 3)] * 4), 2, 2))
 @example((P9, FIB, Mat2(*[PadicElt.from_int(P9, 3)] * 4), 2, 1))   # j = k - 1: diverges
 @example((E2, E2_P0, E2_C, 3, 4))                                   # inexact P0, e = 2
 @example((E2, E2_P0, Mat2(*[PadicElt(E2, [0, 3], 9)] * 4), 3, 4))   # not divisible
-def test_contract_kernel_matches_reference(case):
+def test_contract_matches_full_kernel(case):
     got, want = contract_outcomes(case)
     assert got == want
 
@@ -441,13 +480,13 @@ def test_contract_kernel_matches_reference(case):
 ))
 @example((P9, 3, PadicSeries(P9, [SHORT], 4)))
 @example((P9, 3, PadicSeries(P9, [PadicElt.zero(P9, 8), ONE], 4)))
-def test_running_product_kernel_matches_reference(case):
+def test_times_q_matches_full_kernel(case):
     got, want = times_q_outcomes(case)
     assert got == want
 
 
 @st.composite
-def update_case(draw):
+def support_update_case(draw):
     params = draw(st.sampled_from(KERNEL_RINGS))
     nx = draw(st.integers(2, 6))
     j = draw(st.integers(1, nx - 1))
@@ -458,7 +497,7 @@ def update_case(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(update_case())
+@given(support_update_case())
 @example((P9, 1, MatrixSeries.identity(P9, 3), MatrixSeries.identity(P9, 2),
           MatrixSeries.zero(P9, 3), Mat2(SHORT, ONE, ONE, ONE)))
 @example((P9, 1, MatrixSeries.identity(P9, 3),
@@ -472,7 +511,7 @@ def update_case(draw):
           MatrixSeries(*[PadicSeries(E2, [E2_UNIT, PadicElt(E2, [3, 1], 9)], 3)] * 4),
           MatrixSeries(*[PadicSeries(E2, [PadicElt.one(E2), E2_UNIT], 5)] * 4),
           E2_C))
-def test_defect_update_kernel_matches_reference(case):
+def test_add_correction_matches_full_kernel(case):
     got, want = update_outcomes(case)
     assert got == want
 
