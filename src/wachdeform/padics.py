@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
 from operator import add, mul, sub
 from typing import Iterable
@@ -485,6 +485,8 @@ class ScaledElt:
 def _canon(params: PadicParams, ds, cap: int) -> list[int]:
     """Canonical digits at cap (what PadicElt stores)."""
     row = params.digit_tables[0]
+    if params.e == 1:
+        return [ds[0] % row[cap]]
     return [d % row[cap - j] for j, d in enumerate(ds)]
 
 
@@ -501,6 +503,8 @@ def _valpi_or_cap(params: PadicParams, ds, cap: int) -> int:
     it (zero at cap); the log map gives its exponent.
     """
     row, log = params.digit_tables
+    if params.e == 1:   # gcd(0, p^cap) = p^cap: a zero digit gives the cap itself
+        return log[math.gcd(ds[0], row[cap])]
     v = cap
     for j, d in enumerate(ds):
         if d:
@@ -511,13 +515,16 @@ def _valpi_or_cap(params: PadicParams, ds, cap: int) -> int:
 
 
 def _valpi_or_caps(params: PadicParams, planes, caps) -> tuple[int, ...]:
-    """`_valpi_or_cap` of each coefficient of digit planes at the given caps."""
+    """`_valpi_or_cap` of each coefficient of digit planes at the given caps.
+
+    An all-zero plane s is skipped: its s + e ceil((c - s)/e) is never below c.
+    """
     log, e = params.digit_tables[1], params.e
     per_digit = [
         [s + e * log[g] for g in map(math.gcd, plane, _digit_moduli(params, s, caps))]
-        for s, plane in enumerate(planes)
+        for s, plane in enumerate(planes) if any(plane)
     ]
-    return tuple(list(map(min, caps, *per_digit)))
+    return tuple(list(map(min, caps, *per_digit)) if per_digit else caps)
 
 
 def _ring_mul(params: PadicParams, a, b) -> list[int]:
@@ -538,6 +545,8 @@ def _ring_mul(params: PadicParams, a, b) -> list[int]:
 
 def _pi_shift(params: PadicParams, ds, t: int) -> list[int]:
     """Digits of pi^t * x for t >= 0 (pi^e = p carries the top digits round)."""
+    if params.e == 1:
+        return [ds[0] * params.p ** t]
     q, r = divmod(t, params.e)
     pq, k = params.p ** q, params.e - r
     if not r:
@@ -547,6 +556,8 @@ def _pi_shift(params: PadicParams, ds, t: int) -> list[int]:
 
 def _pi_unshift(params: PadicParams, ds, t: int) -> list[int]:
     """Digits of x / pi^t where t <= valpi(x), so every division is exact."""
+    if params.e == 1:
+        return [ds[0] // params.p ** t]
     q, r = divmod(t, params.e)
     pq = params.p ** q
     return [d // pq for d in ds[r:]] + [d // (pq * params.p) for d in ds[:r]]
@@ -648,6 +659,7 @@ def _unit_power_sum(params: PadicParams, z, cap: int, t: int, acc, terms) -> Pad
     return PadicElt(params, acc, cap)
 
 
+@lru_cache(maxsize=64)   # psi bases recur across calls; Teichmueller angles rarely do
 def plog(x: PadicElt) -> PadicElt:
     """p-adic logarithm, defined for v(x - 1) >= 1/e.
 
@@ -710,8 +722,11 @@ def pexp(y: PadicElt) -> PadicElt:
 # binomial coefficient series C(s, n) for p-adic s
 # --------------------------------------------------------------------------- #
 
-def binom_coeffs(s: PadicElt, n_max: int) -> list[tuple[tuple[int, ...], int]]:
-    """[C(s,0), ..., C(s,n_max)] by the incremental rule C(s,n) = C(s,n-1)(s-n+1)/n.
+# hits come from back-to-back evaluations at one s; an entry holds n_max + 1
+# prec_pi-digit values (about 4 MB at prec_pi 4096), so few are kept
+@lru_cache(maxsize=8)
+def binom_coeffs(s: PadicElt, n_max: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(C(s,0), ..., C(s,n_max)) by the incremental rule C(s,n) = C(s,n-1)(s-n+1)/n.
 
     Each C(s,n) is given as its canonical (digits, cap), the fields of the
     PadicElt it equals.  The running value is kept in factored form;
@@ -719,8 +734,8 @@ def binom_coeffs(s: PadicElt, n_max: int) -> list[tuple[tuple[int, ...], int]]:
     pi-exponent, not at the cap.
     """
     d0, rest = s.digits[0], s.digits[1:]
-    return _running_quotients(
+    return tuple(_running_quotients(
         s.params,
         (((d0 - n + 1, *rest), s.cap) for n in range(1, n_max + 1)),
         lambda n: InexactDivision(f"C(s,{n}) not integral; is s in Z_p?"),
-    )
+    ))

@@ -60,14 +60,16 @@ __all__ = [
 def _reduce(params: PadicParams, raw, caps) -> tuple[tuple[int, ...], ...]:
     """Canonical digit planes of raw integer planes at the given caps.
 
-    A raw plane shorter than ``caps`` is padded with exact zeros.
+    A raw plane shorter than ``caps`` is padded with exact zeros; an all-zero
+    one is not reduced.
     """
     # tuples are built from lists, not iterators: a tuple grown from an
     # iterator is resized outside CPython's per-size free lists but returns to
     # them when freed, so short truncated series would fill those lists
+    n = len(caps)
     return tuple([
-        tuple(list(map(mod, plane, _digit_moduli(params, s, caps)))
-              + [0] * (len(caps) - len(plane)))
+        tuple(list(map(mod, plane, _digit_moduli(params, s, caps))) + [0] * (n - len(plane)))
+        if any(plane) else (0,) * n
         for s, plane in enumerate(raw)
     ])
 

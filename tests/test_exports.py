@@ -75,6 +75,41 @@ def test_every_private_helper_is_used_in_src():
     assert unused == []
 
 
+def _named(node, name):
+    return ((isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name))
+
+
+def _takes_nothing(fn):
+    a = fn.args
+    return not (a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg)
+
+
+def test_every_lru_cache_in_src_is_bounded():
+    # an unbounded cache grows for the life of the process: each lru_cache in
+    # src/ is called with an integer maxsize, and functools.cache wraps only a
+    # module-level function of no arguments, which has one entry
+    bad, bounded = [], 0
+    for path in sorted(Path(wachdeform.__file__).parent.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        nullary = {n.name for n in nodes if isinstance(n, ast.FunctionDef) and _takes_nothing(n)}
+        ok = set()
+        for call in (n for n in nodes if isinstance(n, ast.Call)):
+            size = call.args[0] if call.args else next(
+                (k.value for k in call.keywords if k.arg == "maxsize"), None)
+            if _named(call.func, "lru_cache") and isinstance(size, ast.Constant) \
+                    and type(size.value) is int:
+                ok.add(id(call.func))
+                bounded += 1
+            elif _named(call.func, "cache") and len(call.args) == 1 \
+                    and getattr(call.args[0], "id", None) in nullary:
+                ok.add(id(call.func))
+        bad += [f"{path.stem}:{n.lineno}" for n in nodes
+                if (_named(n, "lru_cache") or _named(n, "cache"))
+                and not isinstance(getattr(n, "ctx", None), ast.Store) and id(n) not in ok]
+    assert bad == [] and bounded
+
+
 def test_every_export_has_a_reader():
     # a name in a module's __all__ must be read by src/ outside its own
     # definition, or by the acceptance tests: public API that nothing calls,

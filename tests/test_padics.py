@@ -618,8 +618,50 @@ def test_binom_coeffs_canonicalises_once_per_term(monkeypatch):
     canon = padics._canon
     monkeypatch.setattr(padics, "_canon", lambda *a: calls.append(1) or canon(*a))
     params = PadicParams(3, 1, 20)
+    binom_coeffs.cache_clear()    # a cached result would canonicalise nothing
     binom_coeffs(PadicElt.from_int(params, 7), 21)
-    assert len(calls) <= 21
+    assert 0 < len(calls) <= 21
+
+
+# --------------------------------------------------------------------------
+# the bounded caches on plog and binom_coeffs: a hit returns what a fresh
+# computation would, a raise is never cached, and the size stays at its bound
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("params", [PadicParams(3, 1, 12), PadicParams(3, 2, 12)],
+                         ids=lambda q: f"e{q.e}")
+def test_cached_results_repeat_the_reference(params):
+    plog.cache_clear()
+    binom_coeffs.cache_clear()
+    for _ in range(2):    # equal arguments built afresh each time
+        x = PadicElt(params, [1, 3][:params.e], params.prec_pi)   # 1 + pi at e = 2
+        s = PadicElt(params, [7, 0][:params.e], 9)
+        assert outcome(plog, x) == outcome(ref_plog, x)
+        assert outcome(binom_coeffs, s, 9) == outcome(ref_binom_coeffs, s, 9)
+    assert plog.cache_info().hits == binom_coeffs.cache_info().hits == 1
+
+
+@pytest.mark.parametrize("fn, args, raised", [
+    (plog, (fi(P3, 2),), OutOfConvergenceDomain),                          # v(2 - 1) = 0
+    (binom_coeffs, (PadicElt(E2, [0, 1], E2.prec_pi), 5), InexactDivision),  # pi is not in Z_3
+], ids=["plog", "binom_coeffs"])
+def test_cached_functions_raise_again(fn, args, raised):
+    fn.cache_clear()
+    for _ in range(2):
+        assert outcome(fn, *args) is raised
+    assert fn.cache_info().currsize == 0 and fn.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("fn, args", [
+    (plog, lambda n: (fi(P3, 1 + 3 * n),)),
+    (binom_coeffs, lambda n: (fi(P3, n), 2)),
+], ids=["plog", "binom_coeffs"])
+def test_cached_functions_stay_at_their_bound(fn, args):
+    fn.cache_clear()
+    bound = fn.cache_info().maxsize
+    for n in range(bound + 5):
+        fn(*args(n))
+    assert fn.cache_info().currsize == bound
 
 
 # --------------------------------------------------------------------------
