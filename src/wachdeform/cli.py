@@ -47,7 +47,7 @@ from .errors import (
     VersionMismatch,
     WachdeformError,
 )
-from .padics import PadicElt, PadicParams
+from .padics import MAX_PREC_X, PadicElt, PadicParams
 from .trianguline import hypothesis_star, psi_eval, weight_step
 from .wach import (
     _require_chi_fits,
@@ -75,12 +75,16 @@ def _rat(text: str) -> Fraction:
 def _resolve_precisions(args, k: int, m: Fraction, alpha_k1: int) -> tuple[PadicParams, int]:
     """The ring at its cap, and nx: budget-formula defaults, overrides refused below floor.
 
-    A cap above the maximum is refused here, before any seeding.
+    A cap or an nx above its maximum is refused here, before any ring or table.
     """
     p, e = args.p, args.e
     nx = default_nx(p, k) if args.prec_x is None else args.prec_x
     if nx < 1:
         raise PrecisionExhausted(f"--prec-x {nx} is below 1")
+    if nx > MAX_PREC_X:
+        what = (f"--prec-x {nx}" if args.prec_x is not None
+                else f"x-precision {nx} (the default at p={p}, k={k})")
+        raise PrecisionExhausted(f"{what} exceeds the maximum {MAX_PREC_X}")
     if args.prec_pi is None:
         return PadicParams(p, e, precision_default(p, e, k, m, alpha_k1, nx)), nx
     floor = precision_floor(e, k, m, alpha_k1)

@@ -119,6 +119,12 @@ def vp(q: int | Fraction, p: int) -> int:
 # e <= prec_pi) and lies above the default budget at m = 1 up to weight 45 (e = 1)
 MAX_PREC_PI = 4096
 
+# the largest x-precision: the (1+x)^c - 1 tables hold about nx^2 / 2 values of
+# prec_pi digits each and their build grows by about 5x per doubling of nx; at
+# the maximum, a p = 3, k = 2 seed at its default cap 533 takes about 12 s and
+# 113 MB on a 2-vCPU x86-64 VM
+MAX_PREC_X = 1024
+
 
 @dataclass(frozen=True)
 class PadicParams:
@@ -480,7 +486,11 @@ class ScaledElt:
 # Teichmueller, log, exp and the running quotients run on digit lists plus one
 # cap per value, with the cap rules of the module docstring.  A value that feeds only a
 # sum may be carried modulo p^ceil(cap/e), a multiple of its digit moduli: the
-# sum is reduced once, at a cap never above that of a term.
+# sum is reduced once, at a cap never above that of a term.  At e = 1 the log/exp
+# sum and the running quotients carry each value as one int (canonical digit
+# d % p^cap, valuation from gcd(d, p^cap), pi-shift d * p^t), since there the
+# digit-list loops, the only path at e > 1, spend most of their time building
+# one-element lists.
 
 def _canon(params: PadicParams, ds, cap: int) -> list[int]:
     """Canonical digits at cap (what PadicElt stores)."""
@@ -586,7 +596,31 @@ def _running_quotients(params: PadicParams, factors, fail) -> list[tuple[tuple[i
     """
     e, p, prec = params.e, params.p, params.prec_pi
     out = [((1,) + (0,) * (e - 1), prec)]
-    m, mcap, mv, exp = [1] + [0] * (e - 1), prec, 0, 0   # mv: valpi-or-cap of m
+    mcap, mv, exp = prec, 0, 0   # mv: valpi-or-cap of the running mantissa m
+    if e == 1:   # the same steps on the one digit, with no digit lists in between
+        row, log = params.digit_tables
+        m = 1
+        for n, (f, fcap) in enumerate(factors, 1):
+            f, fexp = f[0], 0
+            fv = log[math.gcd(f, row[fcap])]
+            if fv < fcap:
+                f, fcap, fexp, fv = f // p ** fv, fcap - fv, fv, 0
+            cap = min(mcap + fv, fcap + mv, prec)
+            vn = vp(n, p)
+            modulus = row[cap]
+            m = m * f * pow(n // p ** vn, -1, modulus) % modulus
+            mcap, mv, exp = cap, (cap if mv or fv else 0), exp + fexp - vn
+            if mv:
+                if exp + mcap < 1:
+                    raise PrecisionExhausted("scaled zero has no integral digits left")
+                out.append(((0,), min(exp + mcap, prec)))
+            elif exp < 0:
+                raise fail(n)
+            else:
+                cap = min(mcap + exp, prec)
+                out.append(((m * p ** exp % row[cap],), cap))
+        return out
+    m = [1] + [0] * (e - 1)
     for n, (f, fcap) in enumerate(factors, 1):
         # the valuation of unreduced digits is exact, so is the division by pi^fv
         fv, fexp = _valpi_or_cap(params, f, fcap), 0
@@ -651,6 +685,13 @@ def _unit_power_sum(params: PadicParams, z, cap: int, t: int, acc, terms) -> Pad
     cu = cap - t
     mod = params.modulus(cu)
     u = _pi_unshift(params, _canon(params, z, cap), t)
+    if e == 1:   # the same sum on the one digit, with no digit lists in between
+        p, u, un, a = params.p, u[0], 1, acc[0]
+        for inv, shift in terms:
+            un = un * u % mod
+            a += un * inv * p ** shift
+            cap = min(cap, cu + shift)
+        return PadicElt(params, [a], cap)
     un = [1] + [0] * (e - 1)
     for inv, shift in terms:
         un = [d % mod for d in _ring_mul(params, un, u)]

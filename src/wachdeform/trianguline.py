@@ -118,6 +118,14 @@ def _binomial_route(alpha: PadicElt, z: list[int], t: int | None, s: PadicElt) -
         return PadicElt(params, acc, alpha.cap)
     bc = binom_coeffs(s, prec // t + 1)
     cap, zpow, zcap, zv = prec, list(acc), prec, 0
+    if e == 1:   # the same sum on the one digit, with no digit lists in between
+        z, zpow, total = z[0], 1, 1
+        for bd, bcap in bc[1:]:
+            zcap = min(zcap + t, alpha.cap + zv, prec)
+            zpow, zv = zpow * z % params.modulus(zcap), min(zv + t, zcap)
+            cap = min(cap, bcap + zv, zcap + _valpi_or_cap(params, bd, bcap))
+            total += bd[0] * zpow
+        return PadicElt(params, [total], cap)
     for bd, bcap in bc[1:]:
         # valuations add in O_E, so v(z^n) is min(v(z^(n-1)) + t, cap)
         zcap = min(zcap + t, alpha.cap + zv, prec)

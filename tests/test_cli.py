@@ -27,7 +27,7 @@ from wachdeform.errors import (
     PreconditionFails,
     WachdeformError,
 )
-from wachdeform.padics import MAX_PREC_PI, PadicElt, PadicParams, vp
+from wachdeform.padics import MAX_PREC_PI, MAX_PREC_X, PadicElt, PadicParams, vp
 from wachdeform.trianguline import weight_step
 from wachdeform.wach import check_axioms, load_wach, save_wach, seed_companion
 
@@ -442,6 +442,27 @@ def test_huge_prec_pi_flag_refused_fast(cmd, tmp_path, capsys):
     assert main(cmd + ["--prec-pi", "10000000"]) == 3
     assert time.perf_counter() - t0 < 1.0
     assert f"exceeds the maximum {MAX_PREC_PI}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", [
+    # the default nx (p-1)(k-1)+2 = 10008 of a large p
+    ["seed", "--p", "10007", "--k", "2", "--ap", "0"],
+    ["seed", "--p", "3", "--k", "2", "--ap", "3", "--prec-pi", "40", "--prec-x", "1000000"],
+    ["deform", "--p", "3", "--k", "2", "--ap", "3", "--ap-new", "30", "--m", "1",
+     "--prec-x", "1025"],
+    ["scan", "--p", "3", "--k-range", "2:2", "--ap-list", "3", "--m", "1", "--out", "OUT",
+     "--prec-x", "1025"],
+])
+def test_huge_prec_x_refused_fast(cmd, tmp_path, capsys):
+    # each once ran past 5 s building its (1+x)^c - 1 tables, refused by nothing
+    outdir = tmp_path / "scan"
+    cmd = [str(outdir) if a == "OUT" else a for a in cmd]
+    t0 = time.perf_counter()
+    assert main(cmd) == 3
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("precision: ") and f"exceeds the maximum {MAX_PREC_X}" in err
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("flag", ["--prec-pi", "--prec-x"])

@@ -1,8 +1,10 @@
-"""Golden outputs: SHA-256 digests of seed files and deformation certificates.
+"""Golden outputs: SHA-256 digests of seed files, deformation certificates and
+`psi` output.
 
 The order-by-order solver behind `seed_companion` and `correct_gamma` decides
-every digit and cap these files hold, so a refactor of it that moves a single
-byte shows up here.  A digest may change only together with a deliberate,
+every digit and cap the files hold, and the log/exp and binomial kernels every
+digit `psi` prints, so a refactor of either that moves a single byte shows up
+here.  A digest may change only together with a deliberate,
 documented change of the output.
 """
 import hashlib
@@ -38,6 +40,30 @@ DEFORMS = {
     ("3", "3", "2", "3", "84", "1/3"): "6819a380f0985edecbed52e9409754cf02d9e3f15490b089331896d88f8dd652",
 }
 
+# (p, e, prec_pi, alpha, s) -> digest of `psi` stdout: both series routes and
+# the cap they agree at
+PSIS = {
+    ("3", "1", "24", "4", "-5/2"): "ee6dc2ac6e3e3a8f1b88220633c176975aa1200d0737db8afa3c7b20b6cd217e",
+    ("3", "1", "200", "4", "-5/2"): "89ebb25b9066da3b1b993f350bf94b6c010febe33a9c7a00400bd6ae53bca695",
+    ("3", "2", "24", "4", "-5/2"): "68f4e871a9b196007c6ce0b87ac06d5ca0883941b6d08eb1958206c7f7cb014a",
+    ("3", "2", "200", "4", "-5/2"): "2ef48669dbfe06d411bb23655b515076f348d221deb73f15dc8a18bb8b56e8bb",
+    ("3", "3", "24", "4", "-5/2"): "88eda06b0f0ad0059f77c584ee3a0d3ad34da8696d59a1db1753acbb6ad85b33",
+    ("3", "3", "200", "4", "-5/2"): "29b7ae8f65dddc9919b6871184508403cd739847317cb67948a12ce835e88d90",
+    ("5", "1", "24", "31/6", "-5/2"): "e7bf0a12c9d05def7d8604ea57fae6e6b1cb09b4002049da3344e336bd852921",
+    ("5", "1", "200", "31/6", "-5/2"): "13c04cfa7a455625cd9030110d8309b3aa05d670274d546b96804ca4909e546f",
+    ("5", "2", "24", "31/6", "-5/2"): "82c6bfde47acbf5bea0d68f8dcda3abf54648b8472ca9267763d514ebf6ded6b",
+    ("5", "2", "200", "31/6", "-5/2"): "9ca169c48edaa4ea5ffe76994c2e17653ab11428ae11a9cda5b36691d9f598d1",
+    ("5", "3", "24", "31/6", "-5/2"): "16ada41fbed898a9808d8b78f6755078779eb7ce37b03b1f3f59dfc5fdffbea0",
+    ("5", "3", "200", "31/6", "-5/2"): "dc90fc25a59e184c46b6a0ceed6a1b50f72a65645ee0cba987e3e48fe268a0ce",
+    ("7", "1", "24", "-6", "-5/2"): "de772dc609e3c72b6469901f694aa424b3203d1fe459d80ebc11d8be32f7c785",
+    ("7", "1", "200", "-6", "-5/2"): "399b5ce01501c39648d1873ed31c4eaac15eb905798a1608236ff7383b27fca9",
+    ("7", "2", "24", "-6", "-5/2"): "f5a4c3dcb26fb29e624927c5f364c5c12a41d9e8f6225011e910b527b9bb6395",
+    ("7", "2", "200", "-6", "-5/2"): "43a2c60f306e8166682d78091ffb294be58ba2c42ee3805bb662499294c30129",
+    ("7", "3", "24", "-6", "-5/2"): "b25e09178d0f07e17f9f7580961b4910b92f756a6b2d799eb99e81ca1f38956d",
+    ("7", "3", "200", "-6", "-5/2"): "e0024a19068ddbdfc0f62136222320072e6cd26b36187d8e1584f7d07340dba8",
+    ("3", "1", "1024", "4", "1/2"): "714dbec3c803a792695ea3d7eb4593e3d69d2630873e57d4d9e85f006e655416",
+}
+
 
 def _digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -61,3 +87,13 @@ def test_golden_deform_certificate(case, tmp_path):
             "--m", m, "--out", str(out)]
     assert main(argv) == 0
     assert _digest(out) == DEFORMS[case]
+
+
+@pytest.mark.parametrize(
+    "case", PSIS, ids=lambda c: "p{}-e{}-cap{}-alpha{}-s{}".format(*c).replace("/", "_")
+)
+def test_golden_psi_stdout(case, capsys):
+    p, e, prec, alpha, s = case
+    argv = ["psi", "--p", p, "--e", e, "--prec-pi", prec, f"--alpha={alpha}", f"--s={s}"]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PSIS[case]
