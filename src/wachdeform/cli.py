@@ -19,7 +19,6 @@ hopeless request is refused in microseconds.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -51,6 +50,7 @@ from .padics import MAX_PREC_X, PadicElt, PadicParams
 from .trianguline import hypothesis_star, psi_eval, weight_step
 from .wach import (
     _require_chi_fits,
+    _write_text,
     check_axioms,
     default_nx,
     load_wach,
@@ -96,7 +96,7 @@ def _resolve_precisions(args, k: int, m: Fraction, alpha_k1: int) -> tuple[Padic
 
 
 def _write_json(path: str, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
 
 # --------------------------------------------------------------------------- #
@@ -271,11 +271,9 @@ def cmd_scan(args) -> int:
         results = [_scan_point(pl) for pl in payloads]
 
     csv_path = outdir / "results.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "a_p", "ap_new", "m", "bound_ok", "cert_pass",
-                         "min_defect_val", "converse_threshold"])
-        writer.writerows(results)
+    header = "k,a_p,ap_new,m,bound_ok,cert_pass,min_defect_val,converse_threshold"
+    # no field holds a comma, quote or newline, so none is quoted; CSV lines end in \r\n
+    _write_text(csv_path, "".join(f"{line}\r\n" for line in [header, *map(",".join, results)]))
     all_pass = all(row[5] == "true" for row in results)
     print(f"scan: {len(results)} grid points -> {csv_path} "
           f"({'all pass' if all_pass else 'failures present'})")

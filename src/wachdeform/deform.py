@@ -25,7 +25,7 @@ emit an under-precise verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import (
@@ -425,29 +425,18 @@ class DeformCertificate:
         )
 
     def as_obj(self) -> dict:
-        """JSON-ready rendering (fractions as strings, log as pairs)."""
-        return {
-            "p": self.p,
-            "e": self.e,
-            "k": self.k,
-            "chi_gamma": self.chi_gamma,
-            "prec_pi": self.prec_pi,
-            "prec_x": self.prec_x,
-            "a_p": ",".join(map(str, self.a_p_digits)),
-            "ap_new": ",".join(map(str, self.ap_new_digits)),
-            "m": str(self.m),
-            "bound_required": str(self.bound_required),
-            "bound_observed": str(self.bound_observed),
-            "bound_ok": self.bound_ok,
-            "h_valuations": [str(v) for v in self.h_valuations],
-            "h_floors": [str(v) for v in self.h_floors],
-            "iteration_log": [[j, str(v)] for j, v in self.iteration_log],
-            "p_congruent": self.p_congruent,
-            "g_congruent": self.g_congruent,
-            "charpoly_ok": self.charpoly_ok,
-            "axioms_ok": self.axioms_ok,
-            "pass": self.ok,
-        }
+        """JSON-ready rendering: the digit tuples as "d0,d1,..." under a_p and
+        ap_new, fractions as strings, tuples as lists, and `ok` under "pass"."""
+        obj = {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+        for key in ("a_p", "ap_new"):
+            obj[key] = ",".join(map(str, obj.pop(key + "_digits")))
+        return obj | {"pass": self.ok}
+
+
+def _json_value(v):
+    if type(v) is Fraction:
+        return str(v)
+    return [_json_value(x) for x in v] if type(v) is tuple else v
 
 
 def deform_trace(

@@ -126,6 +126,15 @@ MAX_PREC_PI = 4096
 MAX_PREC_X = 1024
 
 
+# equal rings share a row, so cached elements of fresh rings pin only that;
+# at MAX_PREC_PI and p = 3 a row holds about 2.2 MB, so 8 rows about 18 MB
+@lru_cache(maxsize=8)
+def _digit_tables(p: int, e: int, prec: int) -> tuple[tuple[int, ...], dict[int, int]]:
+    powers = list(accumulate(repeat(p, -(-prec // e)), mul, initial=1))
+    row = tuple([powers[-(-t // e)] for t in range(prec + 1)] + [1] * (e - 1))
+    return row, {q: t for t, q in enumerate(powers)}
+
+
 @dataclass(frozen=True)
 class PadicParams:
     """Base ring O_E = Z_p[pi]/(pi^e - p), the working pi-adic cap, and its moduli.
@@ -159,10 +168,7 @@ class PadicParams:
         The row is indexed by t itself: its last e - 1 entries are the 1s of
         t < 0, which a negative index reads.  Only this module reads it.
         """
-        e, prec = self.e, self.prec_pi
-        powers = list(accumulate(repeat(self.p, -(-prec // e)), mul, initial=1))
-        row = tuple([powers[-(-t // e)] for t in range(prec + 1)] + [1] * (e - 1))
-        return row, {q: t for t, q in enumerate(powers)}
+        return _digit_tables(self.p, self.e, self.prec_pi)
 
     def modulus(self, cap: int) -> int:
         """p^ceil(cap/e), 0 <= cap <= prec_pi: digit 0's modulus, a multiple of the others'."""

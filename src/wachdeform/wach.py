@@ -25,6 +25,7 @@ The seeds, logs and exceptions are those of the element arithmetic.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,6 +43,7 @@ from .errors import (
     VersionMismatch,
 )
 from .padics import (
+    MAX_PREC_X,
     PadicElt,
     PadicParams,
     _canon,
@@ -636,6 +638,16 @@ def _require_chi_fits(params: PadicParams, chi_gamma: int) -> None:
         )
 
 
+def _write_text(path: str | Path, text: str) -> None:
+    """The one file writer: overwrite in place and cut a longer old tail, as
+    truncating on open can wait tens of ms per rewrite; nothing is synced."""
+    data = text.encode()
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        if os.fstat(fh.fileno()).st_size > len(data):   # the old file was longer
+            fh.truncate()
+
+
 def save_wach(w: WachData, path: str | Path) -> None:
     """Write module data as deterministic structured text (sorted keys).
 
@@ -652,7 +664,7 @@ def save_wach(w: WachData, path: str | Path) -> None:
         ("e", params.e), ("format_version", FORMAT_VERSION), ("k", w.k),
         ("p", params.p), ("prec_pi", params.prec_pi), ("prec_x", w.nx),
     )]
-    Path(path).write_text("{\n " + ",\n ".join(f'"{k}": {v}' for k, v in fields) + "\n}\n")
+    _write_text(path, "{\n " + ",\n ".join(f'"{k}": {v}' for k, v in fields) + "\n}\n")
 
 
 _INT_TEXT = re.compile("-?[0-9]+")
@@ -756,4 +768,6 @@ def load_wach(path: str | Path) -> WachData:
     a_p = PadicElt(params, *_elt_digits(obj.get("a_p"), params, "a_p"))
     P = _matrix_from(obj.get("P"), params, nx, "P")
     G = _matrix_from(obj.get("G"), params, nx, "G")
+    if nx > MAX_PREC_X:   # once the arrays match nx; the (1+x)^c - 1 tables grow as nx^2
+        raise MalformedFile(f"prec_x {nx} exceeds the maximum {MAX_PREC_X}")
     return WachData(params=params, k=k, a_p=a_p, chi_gamma=chi, P=P, G=G)

@@ -121,6 +121,12 @@ def test_seed_verify_roundtrip(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+def test_seed_out_dev_null(capsys):
+    # the writer opens without truncating and cuts only a longer regular file
+    assert main(["seed", "--p", "3", "--k", "2", "--ap", "3", "--out", "/dev/null"]) == 0
+    assert capsys.readouterr().out.endswith("wrote /dev/null\n")
+
+
 def test_verify_missing_file_is_io_error():
     assert main(["verify", "--in", "/nonexistent/nowhere.json"]) == 5
 
@@ -250,6 +256,15 @@ def test_deform_pass_writes_certificate(tmp_path, capsys):
     assert cert["bound_observed"] == "3"
     assert cert["a_p"] == "3"
     assert cert["ap_new"] == "30"
+
+
+def test_deform_out_in_missing_directory_is_io_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "c.json"
+    assert main(["deform", "--p", "3", "--k", "2", "--ap", "3", "--ap-new", "30",
+                 "--m", "1", "--out", str(path)]) == 5
+    err = capsys.readouterr().err
+    assert err == f"io: [Errno 2] No such file or directory: {str(path)!r}\n"
+    assert not path.parent.exists()
 
 
 def test_deform_bound_refusal_precedes_seeding():

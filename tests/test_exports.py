@@ -110,6 +110,40 @@ def test_every_lru_cache_in_src_is_bounded():
     assert bad == [] and bounded
 
 
+def _opens_for_writing(call):
+    f = call.func
+    if _named(f, "write_text") or _named(f, "write_bytes"):
+        return True
+    if not _named(f, "open"):
+        return False
+    if isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "os":
+        return True
+    # builtin or io open(file, mode); a Path-like x.open(mode)
+    at = 1 if isinstance(f, ast.Name) or getattr(f.value, "id", None) == "io" else 0
+    mode = call.args[at] if len(call.args) > at else next(
+        (k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+    return not (isinstance(mode, ast.Constant) and type(mode.value) is str) \
+        or bool(set(mode.value) & set("wax+"))
+
+
+def test_every_file_write_in_src_goes_through_the_one_writer():
+    # wach._write_text writes in place; a write_text, write_bytes, os.open or
+    # an open for writing anywhere else would bring back truncate-on-open
+    bad, inside = [], 0
+    for path in sorted(Path(wachdeform.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        writer = [n for n in ast.walk(tree)
+                  if isinstance(n, ast.FunctionDef) and n.name == "_write_text"]
+        allowed = {id(n) for w in writer for n in ast.walk(w)}
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            if _opens_for_writing(call):
+                if id(call) in allowed:
+                    inside += 1
+                else:
+                    bad.append(f"{path.stem}:{call.lineno}")
+    assert bad == [] and inside == 2, (bad, inside)   # os.open, open(fd, "wb")
+
+
 def test_every_export_has_a_reader():
     # a name in a module's __all__ must be read by src/ outside its own
     # definition, or by the acceptance tests: public API that nothing calls,

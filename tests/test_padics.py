@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import random
 import signal
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -641,6 +642,24 @@ def test_cached_results_repeat_the_reference(params):
         assert outcome(plog, x) == outcome(ref_plog, x)
         assert outcome(binom_coeffs, s, 9) == outcome(ref_binom_coeffs, s, 9)
     assert plog.cache_info().hits == binom_coeffs.cache_info().hits == 1
+
+
+def test_cached_elements_of_equal_rings_share_one_row():
+    # each entry keeps its element's ring alive: 16 entries on fresh, equal
+    # PadicParams(3, 1, 1024) once held 16 rows of moduli, 3.34 MB, where one
+    # row is about 0.21 MB
+    plog.cache_clear()
+    padics._digit_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for n in range(1, 17):
+            plog(fi(PadicParams(3, 1, 1024), 1 + 3 * n))
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert plog.cache_info().currsize == 16
+    assert held < 500_000, held
 
 
 @pytest.mark.parametrize("fn, args, raised", [

@@ -22,7 +22,7 @@ from wachdeform.errors import (
     VersionMismatch,
     WachdeformError,
 )
-from wachdeform.padics import MAX_PREC_PI, PadicElt, PadicParams
+from wachdeform.padics import MAX_PREC_PI, MAX_PREC_X, PadicElt, PadicParams
 from wachdeform.series import (
     Mat2,
     MatrixSeries,
@@ -538,6 +538,40 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     path2 = tmp_path / "w2.json"
     save_wach(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_save_over_a_longer_or_shorter_file_leaves_the_new_bytes(tmp_path):
+    # the writer overwrites in place and cuts only a longer old tail
+    small, large = seed_k2(nx=8), seed_k2(PadicParams(3, 1, 40), nx=24)
+    want = {}
+    for name, w in (("small", small), ("large", large)):
+        save_wach(w, tmp_path / name)
+        want[name] = (tmp_path / name).read_bytes()
+    assert len(want["small"]) < len(want["large"])
+    path = tmp_path / "w.json"
+    for name, w in (("large", large), ("small", small), ("large", large)):
+        save_wach(w, path)
+        assert path.read_bytes() == want[name], name
+
+
+def test_load_refuses_prec_x_past_the_maximum(tmp_path):
+    # the default p = 3, k = 2 module (nx 32) padded with zero coefficients:
+    # the (1+x)^c - 1 tables of a verify grow as nx^2
+    params = PadicParams(3, 1, 37)
+    w = seed_companion(params, 2, fi(3, params), CHI, 32)
+    path = tmp_path / "w.json"
+    save_wach(w, path)
+    obj = json.loads(path.read_text())
+    zero = {"cap": "37", "digits": ["0"]}
+    for name in ("P", "G"):
+        for row in obj[name]:
+            for s in row:
+                s += [zero] * (MAX_PREC_X + 1 - len(s))
+    obj["prec_x"] = str(MAX_PREC_X + 1)
+    path.write_text(json.dumps(obj))
+    with pytest.raises(MalformedFile, match=f"^prec_x {MAX_PREC_X + 1} exceeds the maximum "
+                                            f"{MAX_PREC_X}$"):
+        load_wach(path)
 
 
 @pytest.mark.parametrize("params", [P3, PadicParams(3, 2, 20)])
