@@ -17,10 +17,15 @@ for j >= k and, in the seed, by direct elimination below that, with no
 fallback when the low-order system is singular.
 
 The solver loop runs on an integer kernel, not on PadicElt/PadicSeries
-objects: each element is its digit list, its cap and its valpi-or-cap, the
+objects: each element is its digit list, its cap and its valpi-or-cap, each
+series a bare row of digit planes and caps cut to its support; the
 contraction and the per-order defect update carry the element cap rules of
 `padics` exactly, and digits are reduced once per entry at the final cap.
-The seeds, logs and exceptions are those of the element arithmetic.
+At e = 1 the running product and the defect update carry each coefficient as
+one int, its valuation log[gcd(d, p^cap)]; the digit-plane code is the path
+at e > 1.  For an exact P(0) the contraction settles its caps first and then
+sweeps the digits through one composed map.  The seeds, logs and exceptions
+are those of the element arithmetic.
 """
 from __future__ import annotations
 
@@ -30,6 +35,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import gcd
 from operator import mod, mul
 from pathlib import Path
 
@@ -50,11 +56,13 @@ from .padics import (
     _digit_moduli,
     _pi_div_digits,
     _valpi_or_cap,
+    _valpi_or_caps,
 )
 from .series import (
     Mat2,
     MatrixSeries,
     PadicSeries,
+    _trim,
     cyclotomic_q,
     div_distinguished,
     mat_frobenius,
@@ -276,9 +284,9 @@ def _solve_order_low(
 # The solver loop runs on integers with the element cap rules of `padics`
 # carried exactly.  An element is a triple (digits, cap, v): its canonical
 # digit list, its cap and its valpi-or-cap; a constant 2x2 matrix is a list of
-# four triples, row-major; an entry of a matrix series is a `PadicSeries`, and
-# its products reach only as far as its support (see the kernel comment of
-# `series`).
+# four triples, row-major.  A series is a row (digit planes, caps) cut to its
+# support, after which every coefficient is an exact zero, so its products
+# reach only as far as that (see the kernel comment of `series`).
 #
 # * a product x y has cap min(cap_x + v(y), cap_y + v(x), prec_pi);
 # * a sum has the min of the caps;
@@ -295,8 +303,12 @@ def _solve_order_low(
 # Multiplication by a constant of O_E is linear on digits: x y has the digits
 # M_x y for the e x e integer matrix M_x of `_mul_matrix`.  So the contraction
 # runs on the flat digit vector of a 2x2 matrix (its entries row-major, e
-# digits each), and S |-> P0 S and X |-> X adj(P0) are 4e x 4e integer
-# matrices built once per solve.
+# digits each), and S |-> P0 S, X |-> X adj(P0) and their composite are 4e x 4e
+# integer matrices built once per solve.
+#
+# At e = 1 the digit planes are one list of ints, and `_times_q` and
+# `_add_correction` work on it directly, with S's digit as its own multiplier
+# and a row's valuations log[gcd(d, p^cap)], as the e = 1 arms of `padics` do.
 
 def _triple(params: PadicParams, raw, cap: int) -> tuple[list[int], int, int]:
     ds = _canon(params, raw, cap)
@@ -338,11 +350,14 @@ def _product_map(m: Mat2, left: bool) -> list[list[int]]:
 
 
 def _contraction_maps(p0: Mat2) -> tuple:
-    """S |-> P0 S and X |-> X adj(P0) as integer matrices, with the caps and
-    valpi-or-caps of the entries of P0 and adj(P0)."""
+    """S |-> P0 S, X |-> X adj(P0) and their composite S |-> (P0 S) adj(P0) as
+    integer matrices, with the caps and valpi-or-caps of the entries of P0 and
+    adj(P0)."""
     adj0 = p0.adj()
+    left, right = _product_map(p0, True), _product_map(adj0, False)
+    both = [[sum(map(mul, row, col)) for col in zip(*left)] for row in right]
     return (
-        _product_map(p0, True), _product_map(adj0, False),
+        left, right, both,
         [x.cap for x in p0.entries()], [x.valpi_or_cap() for x in p0.entries()],
         [x.cap for x in adj0.entries()], [x.valpi_or_cap() for x in adj0.entries()],
     )
@@ -370,21 +385,28 @@ def _contract(
     """Solve S P0 - p^j P0 S = C for j >= k by the contraction
     S = R0 + p^(j-k+1) P0 S adj(P0), R0 = C adj(P0) / p^(k-1).
 
-    ``maps`` is `_contraction_maps(P0)` and ``c`` four triples.  A sweep is
-    two integer matrix-vector products on the flat digit vector of S; it stops
-    when S repeats, digits and caps alike.
+    ``maps`` is `_contraction_maps(P0)` and ``c`` four triples.  A sweep maps
+    the flat digit vector of S through the integer matrices; it stops when S
+    repeats, digits and caps alike.
+
+    For an exact P0 the caps of a sweep are a function of the caps before it
+    alone (the valuations of S and P0 S are read only by the bounds of an
+    inexact P0, whose caps adj(P0) shares).  They fall monotonically from
+    R0's, so they are settled first, and the digits then go through the
+    composed map S |-> (P0 S) adj(P0), one matrix-vector product per sweep.
     """
-    left, right, p0c, p0v, adjc, adjv = maps
+    left, right, both, p0c, p0v, adjc, adjv = maps
     e, prec, t = params.e, params.prec_pi, params.e * (k - 1)
     starts = range(0, 4 * e, e)
-    # the sweep's bounds read valuations of S and P0 S only when P0 (whose caps
-    # adj(P0) shares) is inexact
-    exact = min(p0c) >= prec
 
     def vals(ds, caps):
-        if exact:
-            return None
         return [_valpi_or_cap(params, ds[i:i + e], cap) for i, cap in zip(starts, caps)]
+
+    def moduli(caps):
+        mods = [0] * (4 * e)
+        for s in range(e):   # digit s of the entries sits at s, s + e, s + 2e, s + 3e
+            mods[s::e] = _digit_moduli(params, s, caps)
+        return mods
 
     flat = [x for ds, _, _ in c for x in ds]
     raw = [sum(map(mul, row, flat)) for row in right]
@@ -399,97 +421,150 @@ def _contract(
             raise PrecisionExhausted(f"order {j}: {exc}") from exc
     pt, et = params.p ** (j - k + 1), params.e * (j - k + 1)
     sweeps = prec + 2
+    if min(p0c) >= prec:
+        # seq[n] is the caps of sweep n; from sweep len(seq) - 1 on they repeat
+        seq, sc = [], r0c
+        while True:
+            # R0's cap is below prec_pi, so the scale cap needs no prec_pi bound
+            caps = [rc if rc < uc + et else uc + et for rc, uc in zip(r0c, _product_caps(
+                prec, _product_caps(prec, p0c, p0v, sc, None), None, adjc, adjv))]
+            seq.append(caps)
+            if caps == sc:
+                break
+            if len(seq) == sweeps:   # no sweep of the budget can repeat S
+                raise diverged(j, sweeps)
+            sc = caps
+        mods, last = [moduli(caps) for caps in seq], len(seq) - 1
+        sd = r0d
+        for n in range(sweeps):
+            ds = [(a + pt * sum(map(mul, row, sd))) % m
+                  for a, row, m in zip(r0d, both, mods[min(n, last)])]
+            if n >= last and ds == sd:
+                return [_triple(params, ds[i:i + e], cap) for i, cap in zip(starts, seq[-1])]
+            sd = ds
+        raise diverged(j, sweeps)
     sd, sc, sv = r0d, r0c, vals(r0d, r0c)
     for _ in range(sweeps):
         # P0 S feeds only the next product, reduced at its own smaller cap
         ps = [sum(map(mul, row, sd)) for row in left]
         psc = _product_caps(prec, p0c, p0v, sc, sv)
         u = [sum(map(mul, row, ps)) for row in right]
-        # R0's cap is below prec_pi, so the scale cap needs no prec_pi bound
         caps = [rc if rc < uc + et else uc + et
                 for rc, uc in zip(r0c, _product_caps(prec, psc, vals(ps, psc), adjc, adjv))]
-        mods = [0] * (4 * e)
-        for s in range(e):   # digit s of the entries sits at s, s + e, s + 2e, s + 3e
-            mods[s::e] = _digit_moduli(params, s, caps)
-        ds = [(a + pt * b) % m for a, b, m in zip(r0d, u, mods)]
+        ds = [(a + pt * b) % m for a, b, m in zip(r0d, u, moduli(caps))]
         if ds == sd and caps == sc:
             return [_triple(params, ds[i:i + e], cap) for i, cap in zip(starts, caps)]
         sd, sc, sv = ds, caps, vals(ds, caps)
     raise diverged(j, sweeps)
 
 
-def _times_q(params: PadicParams, f: PadicSeries, qs, n: int) -> PadicSeries:
-    """f Q cut to x-order n, Q = ((1+x)^p - 1)/x given by the (digit, v) of its
-    first p coefficients.
+def _row(f: PadicSeries) -> tuple[list[list[int]], list[int]]:
+    """A series as a bare row: its digit planes and caps, cut to its support."""
+    s = f._support()
+    return [list(pl[:s]) for pl in f.planes], list(f.caps[:s])
+
+
+def _times_q(params: PadicParams, row, qs, n: int) -> tuple[list[list[int]], list[int]]:
+    """The row of f Q cut to x-order n, for the row of f; Q = ((1+x)^p - 1)/x
+    is given by the (digit, v) of its first p coefficients.
 
     Q is exact (every cap prec_pi) and its coefficients from x^p on are zero
     (v = prec_pi), so only cap(f_i) + v(Q_l), l < p, i below the support of f,
-    can bind.
+    can bind.  The result is cut to its own support.
     """
-    prec, s = params.prec_pi, min(f._support(), n)
+    planes, caps = row
+    prec, s = params.prec_pi, min(len(caps), n)
     if not s:
-        return PadicSeries.zero(params, n)
+        return [[] for _ in planes], []
     m = min(n, s + len(qs) - 1)
-    raw = [[0] * m for _ in f.planes]
     out = [prec] * m
-    least = min(f.caps[:s])
-    for l, (q, vq) in enumerate(qs[:m]):
-        t = min(s, m - l)
-        for acc, plane in zip(raw, f.planes):
-            acc[l:l + t] = [x + q * y for x, y in zip(acc[l:l + t], plane)]
+    least = min(caps[:s])
+    for l, (_, vq) in enumerate(qs[:m]):
         if least + vq < prec:
-            out[l:l + t] = [a if a < b + vq else b + vq for a, b in zip(out[l:l + t], f.caps)]
-    return PadicSeries._reduced(params, raw, out, n)
+            out[l:l + min(s, m - l)] = [a if a < b + vq else b + vq
+                                        for a, b in zip(out[l:l + s], caps)]
+    if params.e == 1:   # one int per coefficient
+        (ds,) = planes
+        acc = [0] * m
+        for l, (q, _) in enumerate(qs[:m]):
+            acc[l:l + s] = [x + q * y for x, y in zip(acc[l:l + s], ds)]
+        acc = list(map(mod, acc, _digit_moduli(params, 0, out)))
+        while m and out[m - 1] >= prec and not acc[m - 1]:
+            m -= 1
+        return [acc[:m]], out[:m]
+    raw = [[0] * m for _ in planes]
+    for l, (q, _) in enumerate(qs[:m]):
+        for acc, plane in zip(raw, planes):
+            acc[l:l + s] = [x + q * y for x, y in zip(acc[l:l + s], plane)]
+    planes = [list(map(mod, acc, _digit_moduli(params, so, out))) for so, acc in enumerate(raw)]
+    m = _trim(planes, out, m, prec)
+    return [pl[:m] for pl in planes], out[:m]
+
+
+def _summary(params: PadicParams, row):
+    """(digit planes, caps, valuations, least valuation, least cap) of a row,
+    or None for an empty one."""
+    planes, caps = row
+    if not caps:
+        return None
+    if params.e == 1:
+        mods, log = params.digit_tables
+        vals = [log[g] for g in map(gcd, planes[0], map(mods.__getitem__, caps))]
+    else:
+        vals = _valpi_or_caps(params, planes, caps)
+    return planes, caps, vals, min(vals), min(caps)
 
 
 def _add_correction(params: PadicParams, d, pq, gp, s, j: int) -> None:
     """D += x^j (PQ^j S - S gamma(P)) in place, one integer step per entry.
 
-    ``d`` holds four [planes, caps] lists, ``pq`` and ``gp`` four series
-    (``pq`` cut to x-order nx - j), ``s`` four triples.  The support,
-    valuations, least valuation and least cap of each series are read once.
-    An entry's digits are its four scalar products, each over its series'
-    support, summed onto D's and reduced once; its cap is the min of D's cap
-    and the bounds cap_f + v(s), cap_s + v(f) of its products, each skipped
-    when its least value reaches prec_pi.  D's caps are at most prec_pi, so
-    the third product bound never binds.  D is left as it is beyond the
-    longest support of an entry's series.
+    ``d`` holds four [planes, caps] lists, ``pq`` four rows (cut to x-order
+    nx - j), ``gp`` the four `_summary` of gamma(P)'s rows, ``s`` four
+    triples.  An entry's digits are its four scalar products, each over its
+    row's support, summed onto D's and reduced once; its cap is the min of
+    D's cap and the bounds cap_f + v(s), cap_s + v(f) of its products, each
+    skipped when its least value reaches prec_pi.  D's caps are at most
+    prec_pi, so the third product bound never binds.  D is left as it is
+    beyond the longest support of an entry's rows.
     """
-    prec = params.prec_pi
+    prec, e = params.prec_pi, params.e
     n = len(d[0][1]) - j
-    fs = []   # per series: support below n, digit planes, valuations, caps, least of each
-    for f in (*pq, *gp):
-        m = min(f._support(), n)
-        if m:
-            vals = f._valuations()
-            fs.append((m, f.planes, vals, f.caps, min(vals), min(f.caps)))
-        else:
-            fs.append(None)
-    xs = [(_mul_matrix(params, ds), cap, v) for ds, cap, v in s]
+    fs = [_summary(params, f) for f in pq] + gp
+    mults = [_mul_matrix(params, ds) for ds, _, _ in s] if e > 1 else None
     for r in (0, 2):
         for c in (0, 1):
-            terms = [(f, x, sign) for f, x, sign in (
-                (fs[r], xs[c], 1), (fs[r + 1], xs[c + 2], 1),
-                (fs[4 + c], xs[r], -1), (fs[6 + c], xs[r + 1], -1),
+            terms = [(f, i, sign) for f, i, sign in (
+                (fs[r], c, 1), (fs[r + 1], c + 2, 1), (fs[4 + c], r, -1), (fs[6 + c], r + 1, -1),
             ) if f]
             if not terms:
                 continue
-            h = max([f[0] for f, _, _ in terms])
+            # a row longer than the window is cut by zip to the window's length
+            h = min(n, max([len(f[1]) for f, _, _ in terms]))
             planes, caps = d[r + c]
             new_caps = caps[j:j + h]
-            for (m, _, fv, fc, least_v, least_c), (_, cap, v), _ in terms:
+            for (_, fc, fv, least_v, least_c), i, _ in terms:
+                _, cap, v = s[i]
                 if least_v + cap < prec:
-                    new_caps[:m] = [a if a < b + cap else b + cap for a, b in zip(new_caps, fv[:m])]
+                    new_caps[:len(fv)] = [a if a < b + cap else b + cap for a, b in zip(new_caps, fv)]
                 if least_c + v < prec:
-                    new_caps[:m] = [a if a < b + v else b + v for a, b in zip(new_caps, fc[:m])]
-            for so, plane in enumerate(planes):
+                    new_caps[:len(fc)] = [a if a < b + v else b + v for a, b in zip(new_caps, fc)]
+            if e == 1:   # one int per coefficient: S's digit is its own multiplier
+                (plane,) = planes
                 acc = plane[j:j + h]
-                for (m, fp, *_), (mult, _, _), sign in terms:
-                    for t, a in enumerate(mult[so]):
-                        if a:
-                            a *= sign
-                            acc[:m] = [x + a * y for x, y in zip(acc, fp[t][:m])]
-                plane[j:j + h] = list(map(mod, acc, _digit_moduli(params, so, new_caps)))
+                for ((fp,), *_), i, sign in terms:
+                    a = sign * s[i][0][0]
+                    if a:
+                        acc[:len(fp)] = [x + a * y for x, y in zip(acc, fp)]
+                plane[j:j + h] = list(map(mod, acc, _digit_moduli(params, 0, new_caps)))
+            else:
+                for so, plane in enumerate(planes):
+                    acc = plane[j:j + h]
+                    for (fp, *_), i, sign in terms:
+                        for t, a in enumerate(mults[i][so]):
+                            if a:
+                                a *= sign
+                                acc[:len(fp[t])] = [x + a * y for x, y in zip(acc, fp[t])]
+                    plane[j:j + h] = list(map(mod, acc, _digit_moduli(params, so, new_caps)))
             caps[j:j + h] = new_caps
 
 
@@ -516,16 +591,20 @@ def _solve_orders(
     The loop runs on the integer kernel above, with the element cap rules: a
     product has cap min(cap_x + v(y), cap_y + v(x), prec_pi), a sum the min of
     the caps, p^t x the cap min(cap_x + e t, prec_pi).  D is held as digit
-    lists plus caps and updated in place by `_add_correction`, the running
-    product P Q^j by `_times_q`, and the maps S |-> P0 S, X |-> X adj(P0) of
-    `_contract` are built once per call.  Only the low-order solve works on
-    PadicElt values.
+    lists plus caps and updated in place by `_add_correction`.  The running
+    product P Q^j goes from order to order as bare rows through `_times_q`;
+    the support, valuations and least values of gamma(P) are summarised once
+    per call, and so are the maps of `_contract`: S |-> P0 S, X |-> X adj(P0)
+    and, for an exact P0, whose sweep settles its caps first, the composite
+    S |-> (P0 S) adj(P0).  At e = 1 the rows carry one int per coefficient.
+    Only the low-order solve works on PadicElt values.
     """
     params, nx, e = P.params, P.nx, P.params.e
     maps = _contraction_maps(P.eval0())
     q = cyclotomic_q(params, nx)
     qs = list(zip(q.planes[0], q._valuations()))[: params.p]
-    pq, gp = P.entries(), gamma_p.entries()
+    pq = [_row(f) for f in P.entries()]
+    gp = [_summary(params, _row(f)) for f in gamma_p.entries()]
     d = [[list(map(list, f.planes)), list(f.caps)] for f in defect.entries()]
     # the correction sum_j x^j S_j, entry by entry as digit planes and caps
     corr = [[[[0] * nx for _ in range(e)], [params.prec_pi] * nx] for _ in range(4)]

@@ -894,10 +894,13 @@ def _timed_main(argv) -> tuple[int, str]:
 @given(st.data())
 def test_fuzzed_module_file_ends_in_an_exit_code(tmp_path_factory, data):
     # verify and weightstep: neither starts a worker pool
+    # fresh files for each example: truncating a non-empty file on open can
+    # wait tens of ms on some file systems
     w = data.draw(st.sampled_from(STORED))
-    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
-    save_wach(w, path)
-    path.write_text(data.draw(mutated_text(path.read_text(), st.one_of(JUNK, HUGE))))
+    base = tmp_path_factory.mktemp("fuzzed")
+    saved, path = base / "saved.json", base / "fuzzed.json"
+    save_wach(w, saved)
+    path.write_text(data.draw(mutated_text(saved.read_text(), st.one_of(JUNK, HUGE))))
     code, _ = _timed_main(["verify", "--in", str(path)])
     assert code in (1, 5) or (code == 0 and check_axioms(load_wach(path)).ok)
     code, _ = _timed_main(["weightstep", "--in", str(path), "--m", "1"])
