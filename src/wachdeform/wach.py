@@ -481,8 +481,7 @@ def _times_q(params: PadicParams, row, qs, n: int) -> tuple[list[list[int]], lis
     least = min(caps[:s])
     for l, (_, vq) in enumerate(qs[:m]):
         if least + vq < prec:
-            out[l:l + min(s, m - l)] = [a if a < b + vq else b + vq
-                                        for a, b in zip(out[l:l + s], caps)]
+            out[l:l + s] = [a if a < b + vq else b + vq for a, b in zip(out[l:l + s], caps)]
     if params.e == 1:   # one int per coefficient
         (ds,) = planes
         acc = [0] * m
