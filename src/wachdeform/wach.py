@@ -23,9 +23,9 @@ contraction and the per-order defect update carry the element cap rules of
 `padics` exactly, and digits are reduced once per entry at the final cap.
 At e = 1 the running product and the defect update carry each coefficient as
 one int, its valuation log[gcd(d, p^cap)]; the digit-plane code is the path
-at e > 1.  For an exact P(0) the contraction settles its caps first and then
-sweeps the digits through one composed map.  The seeds, logs and exceptions
-are those of the element arithmetic.
+at e > 1.  For an exact P(0), once the contraction's caps repeat, its sweeps
+send the digits through one composed map.  The seeds, logs and exceptions are
+those of the element arithmetic.
 """
 from __future__ import annotations
 
@@ -389,24 +389,23 @@ def _contract(
     the flat digit vector of S through the integer matrices; it stops when S
     repeats, digits and caps alike.
 
-    For an exact P0 the caps of a sweep are a function of the caps before it
-    alone (the valuations of S and P0 S are read only by the bounds of an
-    inexact P0, whose caps adj(P0) shares).  They fall monotonically from
-    R0's, so they are settled first, and the digits then go through the
-    composed map S |-> (P0 S) adj(P0), one matrix-vector product per sweep.
+    For an exact P0 a sweep's caps are a function of the caps before it alone
+    (the valuations of S and P0 S are read only by the bounds of an inexact
+    P0, whose caps adj(P0) shares).  So once they repeat they are settled, and
+    each later sweep sends the digits through the composed map
+    S |-> (P0 S) adj(P0), one matrix-vector product, at the settled moduli.
     """
     left, right, both, p0c, p0v, adjc, adjv = maps
     e, prec, t = params.e, params.prec_pi, params.e * (k - 1)
     starts = range(0, 4 * e, e)
+    # the sweep's bounds read valuations of S and P0 S only when P0 (whose caps
+    # adj(P0) shares) is inexact
+    exact = min(p0c) >= prec
 
     def vals(ds, caps):
+        if exact:
+            return None
         return [_valpi_or_cap(params, ds[i:i + e], cap) for i, cap in zip(starts, caps)]
-
-    def moduli(caps):
-        mods = [0] * (4 * e)
-        for s in range(e):   # digit s of the entries sits at s, s + e, s + 2e, s + 3e
-            mods[s::e] = _digit_moduli(params, s, caps)
-        return mods
 
     flat = [x for ds, _, _ in c for x in ds]
     raw = [sum(map(mul, row, flat)) for row in right]
@@ -421,37 +420,25 @@ def _contract(
             raise PrecisionExhausted(f"order {j}: {exc}") from exc
     pt, et = params.p ** (j - k + 1), params.e * (j - k + 1)
     sweeps = prec + 2
-    if min(p0c) >= prec:
-        # seq[n] is the caps of sweep n; from sweep len(seq) - 1 on they repeat
-        seq, sc = [], r0c
-        while True:
-            # R0's cap is below prec_pi, so the scale cap needs no prec_pi bound
-            caps = [rc if rc < uc + et else uc + et for rc, uc in zip(r0c, _product_caps(
-                prec, _product_caps(prec, p0c, p0v, sc, None), None, adjc, adjv))]
-            seq.append(caps)
-            if caps == sc:
-                break
-            if len(seq) == sweeps:   # no sweep of the budget can repeat S
-                raise diverged(j, sweeps)
-            sc = caps
-        mods, last = [moduli(caps) for caps in seq], len(seq) - 1
-        sd = r0d
-        for n in range(sweeps):
-            ds = [(a + pt * sum(map(mul, row, sd))) % m
-                  for a, row, m in zip(r0d, both, mods[min(n, last)])]
-            if n >= last and ds == sd:
-                return [_triple(params, ds[i:i + e], cap) for i, cap in zip(starts, seq[-1])]
-            sd = ds
-        raise diverged(j, sweeps)
-    sd, sc, sv = r0d, r0c, vals(r0d, r0c)
+    sd, sc, sv, settled = r0d, r0c, vals(r0d, r0c), False
     for _ in range(sweeps):
-        # P0 S feeds only the next product, reduced at its own smaller cap
-        ps = [sum(map(mul, row, sd)) for row in left]
-        psc = _product_caps(prec, p0c, p0v, sc, sv)
-        u = [sum(map(mul, row, ps)) for row in right]
-        caps = [rc if rc < uc + et else uc + et
-                for rc, uc in zip(r0c, _product_caps(prec, psc, vals(ps, psc), adjc, adjv))]
-        ds = [(a + pt * b) % m for a, b, m in zip(r0d, u, moduli(caps))]
+        if settled:   # the caps repeat, so S goes through the composite
+            u = [sum(map(mul, row, sd)) for row in both]
+        else:
+            # P0 S feeds only the next product, reduced at its own smaller cap
+            ps = [sum(map(mul, row, sd)) for row in left]
+            psc = _product_caps(prec, p0c, p0v, sc, sv)
+            u = [sum(map(mul, row, ps)) for row in right]
+            # R0's cap is below prec_pi, so the scale cap needs no prec_pi bound
+            caps = [rc if rc < uc + et else uc + et
+                    for rc, uc in zip(r0c, _product_caps(prec, psc, vals(ps, psc), adjc, adjv))]
+            mods = [0] * (4 * e)
+            for s in range(e):   # digit s of the entries sits at s, s + e, s + 2e, s + 3e
+                mods[s::e] = _digit_moduli(params, s, caps)
+            # for an exact P0 a sweep's caps depend on the caps before it alone,
+            # so once they repeat they stay
+            settled = exact and caps == sc
+        ds = [(a + pt * b) % m for a, b, m in zip(r0d, u, mods)]
         if ds == sd and caps == sc:
             return [_triple(params, ds[i:i + e], cap) for i, cap in zip(starts, caps)]
         sd, sc, sv = ds, caps, vals(ds, caps)
@@ -594,8 +581,8 @@ def _solve_orders(
     product P Q^j goes from order to order as bare rows through `_times_q`;
     the support, valuations and least values of gamma(P) are summarised once
     per call, and so are the maps of `_contract`: S |-> P0 S, X |-> X adj(P0)
-    and, for an exact P0, whose sweep settles its caps first, the composite
-    S |-> (P0 S) adj(P0).  At e = 1 the rows carry one int per coefficient.
+    and their composite S |-> (P0 S) adj(P0), which the sweeps of an exact P0
+    use once their caps are settled.  At e = 1 the rows carry one int per coefficient.
     Only the low-order solve works on PadicElt values.
     """
     params, nx, e = P.params, P.nx, P.params.e
